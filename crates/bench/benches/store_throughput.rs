@@ -521,7 +521,7 @@ fn flash_crowd(
         store.pump(now);
         for id in share.converged_fast_feeds() {
             store
-                .recharge_stream(id, 0)
+                .adjust(id, 0)
                 .expect("releasing a fast-feed delta always fits");
             if let Some(viewer) = playing.iter_mut().find(|v| v.0 == id) {
                 viewer.2 = 100;
@@ -548,7 +548,7 @@ fn flash_crowd(
                 }
                 JoinPlan::Merge { leader, .. } => {
                     store
-                        .open_stream_with_demand(id, movie, 100, 0, now)
+                        .open_stream_with_demand(id, movie, 0, now)
                         .expect("zero-demand follower always admitted");
                     share.open_merged(id, movie, leader);
                     playing.push((id, 0, 100));
@@ -556,10 +556,7 @@ fn flash_crowd(
                 }
                 JoinPlan::FastFeed { leader, .. } => {
                     let delta = share.fast_feed_delta_bps(full);
-                    if store
-                        .open_stream_with_demand(id, movie, 125, delta, now)
-                        .is_ok()
-                    {
+                    if store.open_stream_with_demand(id, movie, delta, now).is_ok() {
                         share.open_fast_feed(id, movie, leader, delta);
                         playing.push((id, 0, 125));
                         admitted += 1;

@@ -1,8 +1,8 @@
 //! `bench` — the Criterion benchmark suite of the reproduction.
 //!
 //! Each bench target regenerates one table or figure of the paper's
-//! evaluation (see `DESIGN.md` §4 and the bench sources under
-//! `benches/`): it prints the harness report table and then measures
+//! evaluation (see the experiment list in the `harness` crate docs
+//! and the bench sources under `benches/`): it prints the harness report table and then measures
 //! the underlying operation so regressions in the reproduced shapes
 //! are caught over time. Run with `cargo bench --workspace`.
 //!

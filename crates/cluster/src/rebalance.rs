@@ -148,13 +148,13 @@ impl MigrationHost for store::BlockStore {
         }
     }
     fn copy_done(&self, token: u64) -> bool {
-        self.import_durable(token as u32) == Some(true)
+        self.durable(token as u32) == Some(true)
     }
     fn finish_copy(&self, token: u64) -> bool {
-        self.finish_import(token as u32).is_ok()
+        self.finish(token as u32).is_ok()
     }
     fn abort_copy(&self, token: u64) {
-        self.abort_import(token as u32);
+        self.close(token as u32);
     }
     fn import_bulk(&self, source: &MovieSource, now: SimTime) {
         self.import_movie(source, now);
@@ -1068,7 +1068,7 @@ mod tests {
         for (location, n) in opened {
             let store = dir.get(&location).unwrap();
             for s in 0..n {
-                store.close_stream(2000 + s as u32);
+                store.close(2000 + s as u32);
             }
         }
         run_until(&dir, &ctl, now, || ctl.stats().shrinks == 1);
@@ -1138,7 +1138,7 @@ mod tests {
             "server lives until its last stream closes"
         );
         // The viewer finishes: the server decommissions.
-        holder.close_stream(4000);
+        holder.close(4000);
         run_until(&dir, &ctl, now, || ctl.drain_complete("node-1"));
         assert!(dir.get("node-1").is_none(), "deregistered");
         let replicas = ctl.replicas_of("Solo").unwrap();

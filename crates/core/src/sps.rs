@@ -266,14 +266,14 @@ impl StreamProviderSystem {
                         share.open_leader(id, movie_id);
                     }
                     JoinPlan::Merge { leader, .. } => {
-                        store.open_stream_with_demand(id, movie_id, 100, 0, now)?;
+                        store.open_stream_with_demand(id, movie_id, 0, now)?;
                         share.open_merged(id, movie_id, leader);
                         store.set_pinned_ranges(&share.pinned_ranges());
                     }
                     JoinPlan::FastFeed { leader, .. } => {
                         let bitrate = store.demand_for(movie_id, 100).unwrap_or(0);
                         let delta = share.fast_feed_delta_bps(bitrate);
-                        store.open_stream_with_demand(id, movie_id, 100, delta, now)?;
+                        store.open_stream_with_demand(id, movie_id, delta, now)?;
                         share.open_fast_feed(id, movie_id, leader, delta);
                         store.set_pinned_ranges(&share.pinned_ranges());
                     }
@@ -300,9 +300,7 @@ impl StreamProviderSystem {
         let Some(candidate) = share.promotion_candidate(leader) else {
             return Ok(());
         };
-        let movie = self.movie_ids.lock().get(&candidate).copied();
-        let demand = movie.and_then(|m| store.demand_for(m, 100)).unwrap_or(0);
-        store.recharge_stream(candidate, demand)?;
+        store.adjust(candidate, self.demand(store, candidate, 100))?;
         Ok(())
     }
 
@@ -321,9 +319,7 @@ impl StreamProviderSystem {
             return Ok(());
         };
         if share.is_follower(stream) {
-            let movie = self.movie_ids.lock().get(&stream).copied();
-            let demand = movie.and_then(|m| store.demand_for(m, 100)).unwrap_or(0);
-            store.recharge_stream(stream, demand)?;
+            store.adjust(stream, self.demand(store, stream, 100))?;
             share.split_out(stream, target_block);
             self.reset_catch_up(stream);
             store.set_pinned_ranges(&share.pinned_ranges());
@@ -337,6 +333,15 @@ impl StreamProviderSystem {
             store.set_pinned_ranges(&share.pinned_ranges());
         }
         Ok(())
+    }
+
+    /// The nominal store demand of stream `id` at `speed_pct` (0 for
+    /// streams without a stored movie).
+    fn demand(&self, store: &BlockStore, id: u32, speed_pct: u32) -> u64 {
+        let movie = self.movie_ids.lock().get(&id).copied();
+        movie
+            .and_then(|m| store.demand_for(m, speed_pct))
+            .unwrap_or(0)
     }
 
     /// A fast-feeding follower that became a leader (or split out)
@@ -385,7 +390,7 @@ impl StreamProviderSystem {
             && self
                 .store
                 .as_ref()
-                .is_none_or(|s| s.recording_durable(id) == Some(true))
+                .is_none_or(|s| s.durable(id) == Some(true))
     }
 
     /// Finalizes a finished recording: the store registers the
@@ -401,7 +406,7 @@ impl StreamProviderSystem {
             return Err(SpsError::NoSuchStream(id));
         };
         let bitrate_bps = match &self.store {
-            Some(store) => store.finish_recording(id)?.bitrate_bps,
+            Some(store) => store.finish(id)?.bitrate_bps,
             None => session.source.mean_bitrate_bps().max(1),
         };
         let session = recordings.remove(&id).expect("checked above");
@@ -438,7 +443,7 @@ impl StreamProviderSystem {
         for id in recordings {
             self.recordings.lock().remove(&id);
             if let Some(store) = &self.store {
-                store.abort_recording(id);
+                store.close(id);
             }
         }
         for id in streams {
@@ -457,19 +462,17 @@ impl StreamProviderSystem {
     pub fn close(&self, id: u32) -> Result<(), SpsError> {
         if self.recordings.lock().remove(&id).is_some() {
             if let Some(store) = &self.store {
-                store.abort_recording(id);
+                store.close(id);
             }
             return Ok(());
         }
         if let Some(store) = &self.store {
-            store.close_stream(id);
+            store.close(id);
             if let Some(share) = &self.share {
                 if let Departure::Promoted { new_leader } = share.on_close(id) {
                     // The closing leader just released a full stream,
                     // so the promoted follower's re-charge always fits.
-                    let movie = self.movie_ids.lock().get(&new_leader).copied();
-                    let demand = movie.and_then(|m| store.demand_for(m, 100)).unwrap_or(0);
-                    let _ = store.recharge_stream(new_leader, demand);
+                    let _ = store.adjust(new_leader, self.demand(store, new_leader, 100));
                     self.reset_catch_up(new_leader);
                 }
                 store.set_pinned_ranges(&share.pinned_ranges());
@@ -531,7 +534,7 @@ impl StreamProviderSystem {
             }
         }
         if let Some(store) = &self.store {
-            store.set_speed(id, speed_pct)?;
+            store.adjust(id, self.demand(store, id, speed_pct))?;
             if speed_pct != 100 {
                 // Trick-speed playback consumes forward, only faster:
                 // widen the read-ahead horizon to the speed multiple
@@ -583,7 +586,7 @@ impl StreamProviderSystem {
         self.share_departure(id, 0)?;
         self.with_sender(id, MtpSender::stop)?;
         if let Some(store) = &self.store {
-            store.seek_stream(id, 0, now)?;
+            store.seek_stream(id, 0, PrefetchHint::default(), now)?;
         }
         Ok(())
     }
@@ -642,7 +645,7 @@ impl StreamProviderSystem {
             let cur = store.stream_position_block(id).unwrap_or(0);
             let readahead = u64::from(store.config().readahead_blocks);
             let hint = self.seek_hint(id, cur, block, readahead);
-            store.seek_stream_with_hint(id, frame, hint, now)?;
+            store.seek_stream(id, frame, hint, now)?;
         }
         Ok(())
     }
@@ -721,7 +724,7 @@ impl StreamProviderSystem {
         // current [trailing follower, leader] window.
         if let (Some(store), Some(share)) = (&self.store, &self.share) {
             for id in share.converged_fast_feeds() {
-                let _ = store.recharge_stream(id, 0);
+                let _ = store.adjust(id, 0);
                 if let Some(sender) = senders.get_mut(&id) {
                     sender.set_speed_pct(100);
                 }

@@ -479,22 +479,6 @@ impl World {
         WorldBuilder::new(seed)
     }
 
-    /// Creates a world whose CM network uses `stream_link`.
-    #[deprecated(note = "use `World::builder(seed).stream_link(..).build()`")]
-    pub fn with_stream_link(seed: u64, stream_link: LinkConfig) -> Self {
-        Self::builder(seed).stream_link(stream_link).build()
-    }
-
-    /// Creates a world with explicit storage knobs: every server added
-    /// gets a block store built from `store_config`.
-    #[deprecated(note = "use `World::builder(seed).stream_link(..).store(..).build()`")]
-    pub fn with_config(seed: u64, stream_link: LinkConfig, store_config: StoreConfig) -> Self {
-        Self::builder(seed)
-            .stream_link(stream_link)
-            .store(store_config)
-            .build()
-    }
-
     /// The stream-sharing configuration servers are built with (set
     /// through [`WorldBuilder::share`]).
     pub fn share_config(&self) -> &share::ShareConfig {
@@ -515,12 +499,6 @@ impl World {
     /// wall-clock multi-core measurements see [`crate::wall_clock`].
     pub fn backend(&self) -> &SimBackend {
         &self.backend
-    }
-
-    /// Creates a world with a mildly jittery, lossless CM network.
-    #[deprecated(note = "use `World::builder(seed).build()`")]
-    pub fn new(seed: u64) -> Self {
-        Self::builder(seed).build()
     }
 
     fn alloc_addr(&mut self) -> NetAddr {
@@ -552,20 +530,6 @@ impl World {
         self.rebalancers.push(Arc::clone(&rebalancer));
         let control = Arc::new(ControlBalancer::new());
         self.build_server(name, stack, &dsa, base, &peers, &rebalancer, &control)
-    }
-
-    /// Like [`World::add_cluster`], with the shape spelled out as
-    /// positional arguments.
-    #[deprecated(note = "use `World::add_cluster(ClusterSpec::new(..).rebalance(..))`")]
-    pub fn add_cluster_with(
-        &mut self,
-        name: &str,
-        count: usize,
-        stack: StackKind,
-        placement: Placement,
-        rebalance: RebalanceConfig,
-    ) -> ClusterHandle {
-        self.add_cluster(ClusterSpec::new(name, count, stack, placement).rebalance(rebalance))
     }
 
     /// Adds the server machines of one [`ClusterSpec`]: the members
@@ -1005,10 +969,16 @@ impl World {
     /// charged through the same admission controller playback draws
     /// on, so reconstruction never over-commits the survivors.
     ///
-    /// Returns `(lost_blocks, rebuild_reserve_bps)`. A reserve of 0
+    /// A second disk death while that rebuild runs folds into it: the
+    /// newly lost blocks join its queue under its existing reservation
+    /// rather than a second one.
+    ///
+    /// Returns `(lost_blocks, rebuild_reserve_bps)`, the reserve being
+    /// that of the rebuild now carrying the lost blocks. A reserve of 0
     /// means the store was fully committed and no rebuild could be
-    /// admitted (retry [`store::BlockStore::begin_rebuild`] after
-    /// viewers release bandwidth). Drive the world (e.g.
+    /// admitted: the lost blocks stay queued, and the next
+    /// [`World::fail_disk`] or [`store::BlockStore::begin_rebuild`]
+    /// whose reservation fits picks them up. Drive the world (e.g.
     /// [`World::run_for`]) to let the rebuild progress; completion is
     /// visible via [`store::BlockStore::rebuild_active`] and the
     /// journal's `RebuildCompleted` event.
@@ -1021,7 +991,7 @@ impl World {
         }
         let reserve = (store.available_bps() / 2).max(1);
         match store.begin_rebuild(reserve, now) {
-            Ok(_) => (lost, reserve),
+            Ok(id) => (lost, store.stream_demand(id).unwrap_or(0)),
             Err(_) => (lost, 0),
         }
     }

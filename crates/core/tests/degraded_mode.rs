@@ -137,6 +137,56 @@ fn spindle_death_rebuilds_under_foreground_load() {
     assert_eq!(journal.count(journal::kind::REBUILD_COMPLETED), 1);
 }
 
+/// A second spindle of the same server dies while the first one's
+/// rebuild runs: the new losses fold into that rebuild under its
+/// reservation, the viewer still plays to the end, and once it
+/// deselects nothing stays committed.
+#[test]
+fn second_spindle_death_folds_into_the_running_rebuild() {
+    let mut world = World::builder(102).stream_link(quiet_link()).build();
+    let server = world.add_server("ksr1", StackKind::EstellePS);
+    let client = world.add_client(&server, StackKind::EstellePS, vec![]);
+    world.start();
+    associate(&world, &client, "viewer");
+    world.client_op(
+        &client,
+        McamOp::CreateMovie {
+            title: "Fragile".into(),
+            format: "XMovie-24".into(),
+            frame_rate: 25,
+            frame_count: 400,
+        },
+    );
+    let params = select_params(&world, &client, "Fragile");
+    let mut receiver = world.receiver_for(&client, &params, SimDuration::from_millis(50));
+    assert_eq!(
+        world.client_op(&client, McamOp::Play { speed_pct: 100 }),
+        Some(McamPdu::PlayRsp { ok: true })
+    );
+    world.run_for(SimDuration::from_secs(1));
+
+    let (lost, reserve_bps) = world.fail_disk(&server, 0);
+    assert!(lost > 0 && reserve_bps > 0);
+    let (lost_again, reserve_again) = world.fail_disk(&server, 1);
+    assert!(lost_again > 0, "the second arm held blocks too");
+    assert_eq!(
+        reserve_again, reserve_bps,
+        "the running rebuild carries them"
+    );
+
+    run_rebuild_to_completion(&world, &server, 60);
+    assert_eq!(server.services.store.lost_blocks_pending(), 0);
+    world.run_for(SimDuration::from_secs(20));
+    assert_eq!(receiver.poll(world.net.now()).len(), 400);
+    world.client_op(&client, McamOp::Deselect);
+    assert_eq!(server.services.store.stats().committed_bps, 0);
+    let journal = world.journal();
+    journal.verify().expect("hash chain intact");
+    assert_eq!(journal.count(journal::kind::DISK_FAILED), 2);
+    assert_eq!(journal.count(journal::kind::REBUILD_STARTED), 1);
+    assert_eq!(journal.count(journal::kind::REBUILD_COMPLETED), 1);
+}
+
 /// A server crash mid-stream: the client's control association and
 /// its stream both die with the machine; the referral-capable client
 /// fails over to a cached candidate, replays its session (select,

@@ -21,14 +21,19 @@
 //!   clients as a negative MCAM response;
 //! - a **write path** for recorded movies: recording sessions
 //!   ([`BlockStore::open_recording`] / `append_frame` /
-//!   `seal_recording` / `finish_recording`) accumulate captured
-//!   frames into blocks, allocate free blocks per disk
-//!   ([`BlockAllocator`]), stage dirty blocks through the buffer
-//!   cache, and queue writes on the same elevator/SCAN disk queues as
-//!   playback reads — recording commits real write bandwidth against
-//!   the same admission capacity, and
+//!   `seal_recording`, then [`BlockStore::durable`] /
+//!   [`BlockStore::finish`]) accumulate captured frames into blocks,
+//!   allocate free blocks per disk ([`BlockAllocator`]), stage dirty
+//!   blocks through the buffer cache, and queue writes on the same
+//!   elevator/SCAN disk queues as playback reads — recording commits
+//!   real write bandwidth against the same admission capacity, and
 //!   [`BlockStore::import_movie`] copies a finished recording onto a
-//!   replica's disks.
+//!   replica's disks;
+//! - **one reservation lifecycle** for every disk user: streams,
+//!   recordings, paced migration copies ([`BlockStore::begin_import`])
+//!   and the spindle rebuild ([`BlockStore::begin_rebuild`]) are each
+//!   admitted against the one bandwidth budget, journaled, paced, and
+//!   released by [`BlockStore::close`] or [`BlockStore::finish`].
 //!
 //! # Examples
 //!

@@ -13,7 +13,7 @@ use journal::{AdmissionClass, EventKind, Journal};
 use mtp::MovieSource;
 use netsim::{SimDuration, SimTime};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -161,7 +161,7 @@ pub enum StoreError {
     },
     /// Unknown movie id.
     UnknownMovie(MovieId),
-    /// Unknown stream id.
+    /// Unknown stream, recording or copy id.
     UnknownStream(u32),
     /// The recording is still capturing frames or still has queued
     /// writes; it cannot be finalized yet.
@@ -272,110 +272,235 @@ impl Layout {
     }
 }
 
+/// Everything the store knows of a movie but its layout.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    frames_per_block: u64,
+    frame_count: u64,
+    frame_rate: u32,
+    bitrate_bps: u64,
+    seed: u64,
+}
+
+impl Geometry {
+    /// The geometry `source` takes on blocks of `block_size` bytes.
+    fn of(source: &MovieSource, block_size: u32) -> Self {
+        let bitrate_bps = source.mean_bitrate_bps().max(1);
+        let block_bits = u64::from(block_size) * 8;
+        Geometry {
+            frames_per_block: (block_bits * u64::from(source.frame_rate.max(1)) / bitrate_bps)
+                .max(1),
+            frame_count: source.frame_count,
+            frame_rate: source.frame_rate,
+            bitrate_bps,
+            seed: source.seed,
+        }
+    }
+
+    /// Blocks the movie occupies.
+    fn blocks(&self) -> u64 {
+        self.frame_count.div_ceil(self.frames_per_block).max(1)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct MovieRec {
     layout: Arc<Layout>,
-    frames_per_block: u64,
-    frame_count: u64,
-    frame_rate: u32,
-    bitrate_bps: u64,
-    seed: u64,
+    geo: Geometry,
 }
 
-/// A recording in progress: frames accumulate into blocks, blocks are
-/// allocated from the free pool and queued as writes; on completion
-/// the map becomes the recorded movie's layout.
-#[derive(Debug)]
-struct RecordingRec {
-    movie: MovieId,
-    frame_rate: u32,
-    seed: u64,
-    start_disk: usize,
-    map: BlockMap,
-    partial_bytes: u64,
-    total_bytes: u64,
-    frames: u64,
-    sealed: bool,
-    blocks_durable: u64,
+impl MovieRec {
+    fn new(layout: Layout, geo: Geometry) -> Self {
+        MovieRec {
+            layout: Arc::new(layout),
+            geo,
+        }
+    }
+
+    /// Whether this is the movie `source` describes.
+    fn matches(&self, source: &MovieSource) -> bool {
+        self.geo.seed == source.seed
+            && self.geo.frame_count == source.frame_count
+            && self.geo.frame_rate == source.frame_rate
+    }
 }
 
-/// A migration copy in progress: block writes are issued at the
-/// reserved bandwidth's pace (a window at a time, so the elevator
-/// still interleaves them with stream reads) and the copy is durable
-/// only when every write has reached a platter. Unlike the bulk
-/// [`BlockStore::import_movie`] path, the reservation is charged to
-/// the same admission capacity playback draws on, so a migration
-/// visibly displaces streams for its duration.
-#[derive(Debug)]
-struct ImportRec {
-    movie: MovieId,
-    reserve_bps: u64,
-    started: SimTime,
-    map: BlockMap,
-    total_blocks: u64,
-    issued: u64,
-    durable: u64,
-    start_disk: usize,
-    frames_per_block: u64,
-    frame_count: u64,
-    frame_rate: u32,
-    bitrate_bps: u64,
-    seed: u64,
-    /// The movie already lived on this store when the copy began:
-    /// nothing to write, instantly durable.
-    preexisting: bool,
-}
-
-/// A spindle rebuild in progress: the blocks lost with a dead disk
-/// are reconstructed onto the surviving disks at the pace of an
-/// admission-charged bandwidth reservation (the reconstruction data
-/// conceptually streams in from replica servers), reusing the paced
-/// write machinery of migrations so the rebuild competes honestly
-/// with foreground viewers.
-#[derive(Debug)]
-struct RebuildRec {
-    /// Admission id of the reservation (import id space).
-    id: u32,
-    /// The dead disk being rebuilt around.
-    disk: usize,
-    reserve_bps: u64,
-    started: SimTime,
-    issued: u64,
-    durable: u64,
-    total: u64,
-    /// Round-robin cursor over the surviving disks.
-    next_disk: usize,
-    /// Reconstruction writes on the platters, keyed by their physical
-    /// identity so completions attribute exactly.
-    in_flight: HashSet<(usize, MovieId, u64)>,
-}
-
-/// Block-issue window of a paced migration: enough to keep a short
+/// Block-issue window of a paced reservation: enough to keep a short
 /// sequential run on the disks without flooding the queues ahead of
 /// stream reads.
-const IMPORT_WINDOW: u64 = 8;
+const PACE_WINDOW: u64 = 8;
 
-/// Migration ids live in their own range of the 32-bit stream-id
-/// space so they never collide with provider-allocated stream ids
-/// (high 16 bits = provider address) in the shared admission table.
+/// Migration and rebuild ids live in their own range of the 32-bit
+/// stream-id space so they never collide with provider-allocated
+/// stream ids (high 16 bits = provider address) in the shared
+/// admission table.
 const IMPORT_ID_BASE: u32 = 0x4000_0000;
 
-/// First non-failed disk at or after `preferred` (wrapping). Falls
-/// back to `preferred` if every disk is dead — callers keep the store
-/// usable until then.
-fn live_disk(failed: &BTreeSet<usize>, disks: usize, preferred: usize) -> usize {
-    let preferred = preferred % disks.max(1);
-    (0..disks)
-        .map(|k| (preferred + k) % disks)
-        .find(|d| !failed.contains(d))
-        .unwrap_or(preferred)
+/// Paces a reservation's block writes at its reserved bandwidth: by
+/// `now` it may have issued `elapsed · reserve / block_bits + 1`
+/// blocks (the first goes out at once), with at most [`PACE_WINDOW`]
+/// of them not yet on a platter, so the writes share the elevator
+/// queues with stream reads instead of flooding them.
+#[derive(Debug)]
+struct Pacer {
+    reserve_bps: u64,
+    block_bits: u64,
+    started: SimTime,
 }
 
-/// What a finished recording produced, as reported by
-/// [`BlockStore::finish_recording`].
+impl Pacer {
+    fn new(reserve_bps: u64, block_size: u32, now: SimTime) -> Self {
+        Pacer {
+            reserve_bps,
+            block_bits: u64::from(block_size) * 8,
+            started: now,
+        }
+    }
+
+    /// Whether block number `issued` may go out at `now`, `durable` of
+    /// the earlier ones having landed.
+    fn allows(&self, now: SimTime, issued: u64, durable: u64) -> bool {
+        let elapsed_us = u128::from(now.saturating_since(self.started).as_micros());
+        let allowed_bits = elapsed_us * u128::from(self.reserve_bps) / 1_000_000;
+        let allowed = allowed_bits / u128::from(self.block_bits) + 1;
+        issued - durable < PACE_WINDOW && u128::from(issued) < allowed
+    }
+
+    /// Earliest instant block number `issued` may go out: the inverse
+    /// of the gate in integer microseconds, rounded up so the wake-up
+    /// never precedes it. `None` while the window is full — in-flight
+    /// writes wake the store through the disks' completion times.
+    fn next_issue(&self, issued: u64, durable: u64) -> Option<SimTime> {
+        if issued - durable >= PACE_WINDOW {
+            return None;
+        }
+        let next_bits = u128::from(issued) * u128::from(self.block_bits);
+        let us = (next_bits * 1_000_000).div_ceil(u128::from(self.reserve_bps.max(1)));
+        Some(self.started + SimDuration::from_micros(us as u64))
+    }
+}
+
+/// A new movie being written into a block map. A recording and a
+/// migration copy differ only in who paces the writes: the capture
+/// clock or a [`Pacer`]. Finished, the map becomes the movie's layout;
+/// closed early, its blocks return to the allocators.
+#[derive(Debug)]
+struct NewMovie {
+    movie: MovieId,
+    /// A copy's pace; `None` for a recording.
+    pacer: Option<Pacer>,
+    map: BlockMap,
+    /// Writes that reached a platter, or died with one: the owner must
+    /// not wedge waiting for a completion that never comes.
+    durable: u64,
+    /// Blocks the movie will hold: known up front for a copy (0 when
+    /// the movie already lived here), fixed by sealing a recording.
+    total: Option<u64>,
+    /// A copy's geometry is its source's; a recording counts captured
+    /// frames in `frame_count` and settles the rest when it finishes.
+    geo: Geometry,
+    /// Captured bytes not yet in a block, and in all.
+    partial_bytes: u64,
+    total_bytes: u64,
+}
+
+impl NewMovie {
+    fn new(movie: MovieId, pacer: Option<Pacer>, total: Option<u64>, geo: Geometry) -> Self {
+        NewMovie {
+            movie,
+            pacer,
+            map: BlockMap::new(),
+            durable: 0,
+            total,
+            geo,
+            partial_bytes: 0,
+            total_bytes: 0,
+        }
+    }
+
+    /// Every block issued and on a platter.
+    fn is_durable(&self) -> bool {
+        self.total
+            .is_some_and(|t| self.map.block_count() >= t && self.durable >= t)
+    }
+
+    /// The finished movie's geometry: a recording's block fill and
+    /// bitrate follow from what it actually captured.
+    fn geometry(&self) -> Geometry {
+        if self.pacer.is_some() {
+            return self.geo;
+        }
+        let (frames, blocks) = (self.geo.frame_count, self.map.block_count());
+        Geometry {
+            frames_per_block: if blocks == 0 {
+                1
+            } else {
+                frames.div_ceil(blocks).max(1)
+            },
+            bitrate_bps: (self.total_bytes * 8 * u64::from(self.geo.frame_rate))
+                .checked_div(frames)
+                .unwrap_or(1)
+                .max(1),
+            ..self.geo
+        }
+    }
+}
+
+/// The spindle rebuild: blocks lost with dead disks are reconstructed
+/// onto the survivors at its reservation's pace (the data conceptually
+/// streams in from replica servers), so the rebuild competes honestly
+/// with foreground viewers. A disk dying mid-rebuild adds its blocks
+/// to the same queue.
+#[derive(Debug)]
+struct Rebuild {
+    /// The dead disk the rebuild started around.
+    disk: usize,
+    pacer: Pacer,
+    issued: u64,
+    durable: u64,
+    /// Round-robin cursor over the surviving disks.
+    next_disk: usize,
+}
+
+/// One user of the stripe set's bandwidth and the work it paces. Its
+/// commitment sits in the shared [`AdmissionController`] under the
+/// same id (a merged follower or a copy of a resident movie holds
+/// none).
+#[derive(Debug)]
+enum Reservation {
+    /// A playback stream and its prefetch cursor.
+    Stream(StreamRec),
+    /// A recording or a migration copy.
+    Write(NewMovie),
+    /// The lost-block reconstruction.
+    Rebuild(Rebuild),
+}
+
+impl Reservation {
+    fn as_stream(&self) -> Option<&StreamRec> {
+        match self {
+            Reservation::Stream(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn as_stream_mut(&mut self) -> Option<&mut StreamRec> {
+        match self {
+            Reservation::Stream(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn is_copy(&self) -> bool {
+        matches!(self, Reservation::Write(w) if w.pacer.is_some())
+    }
+}
+
+/// What a finished recording or copy produced, as reported by
+/// [`BlockStore::finish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordingSummary {
-    /// The recorded movie's id (now a registered, streamable movie).
+    /// The new movie's id (now a registered, streamable movie).
     pub movie: MovieId,
     /// Frames captured.
     pub frame_count: u64,
@@ -383,7 +508,7 @@ pub struct RecordingSummary {
     pub frame_rate: u32,
     /// Mean bitrate of the captured frames, bits/second.
     pub bitrate_bps: u64,
-    /// Blocks the recording occupies on disk.
+    /// Blocks the movie occupies on disk.
     pub blocks: u64,
 }
 
@@ -402,7 +527,6 @@ struct StreamRec {
     outstanding: u32,
     /// Current playback block position (for interval caching).
     position_block: u64,
-    speed_pct: u32,
     /// Trick-mode prediction from the session layer (default hint =
     /// plain dense forward window).
     hint: PrefetchHint,
@@ -413,7 +537,7 @@ struct StreamRec {
 }
 
 impl StreamRec {
-    fn new(movie: MovieId, speed_pct: u32) -> Self {
+    fn new(movie: MovieId) -> Self {
         StreamRec {
             movie,
             next_fetch: 0,
@@ -422,7 +546,6 @@ impl StreamRec {
             early: BTreeSet::new(),
             outstanding: 0,
             position_block: 0,
-            speed_pct,
             hint: PrefetchHint::default(),
             back_fetch: None,
             back_budget: 0,
@@ -456,30 +579,76 @@ impl StreamRec {
     }
 }
 
+/// The stripe set: its disks, one free-block allocator per disk, the
+/// disks that have died, and the owner of every queued write.
+struct Spindles {
+    disks: Vec<Disk>,
+    allocators: Vec<BlockAllocator>,
+    /// Dead disks: their blocks are unreadable and the allocators are
+    /// never asked for them again.
+    failed: BTreeSet<usize>,
+    /// Reservation owning each queued write, keyed by the write's
+    /// physical identity `(disk, movie, offset)`.
+    owners: HashMap<(usize, MovieId, u64), u32>,
+}
+
+impl Spindles {
+    /// First live disk at or after `preferred` (wrapping). Falls back
+    /// to `preferred` if every disk is dead, keeping the store usable
+    /// until then.
+    fn live(&self, preferred: usize) -> usize {
+        let disks = self.disks.len();
+        let preferred = preferred % disks;
+        (0..disks)
+            .map(|k| (preferred + k) % disks)
+            .find(|d| !self.failed.contains(d))
+            .unwrap_or(preferred)
+    }
+
+    /// Allocates the next block of `movie`'s `map` on the next live
+    /// disk of the movie's stripe order.
+    fn place(&mut self, movie: MovieId, map: &mut BlockMap) -> BlockAddr {
+        let disk = self.live(movie.0 as usize + map.block_count() as usize);
+        let addr = BlockAddr {
+            disk,
+            offset: self.allocators[disk].alloc(),
+        };
+        map.push(addr);
+        addr
+    }
+
+    /// Places the next block of `movie` and queues its write; returns
+    /// the block's index.
+    fn append(
+        &mut self,
+        now: SimTime,
+        movie: MovieId,
+        map: &mut BlockMap,
+        bytes: u64,
+        owner: Option<u32>,
+    ) -> u64 {
+        let addr = self.place(movie, map);
+        self.disks[addr.disk].enqueue_write(now, movie, addr.offset, bytes);
+        if let Some(owner) = owner {
+            self.owners.insert((addr.disk, movie, addr.offset), owner);
+        }
+        map.block_count() - 1
+    }
+}
+
 struct StoreInner {
     config: StoreConfig,
     movies: HashMap<MovieId, MovieRec>,
     next_movie: u32,
-    disks: Vec<Disk>,
-    /// One free-offset allocator per disk, feeding the write path.
-    allocators: Vec<BlockAllocator>,
+    spindles: Spindles,
     cache: BufferCache,
     admission: AdmissionController,
-    streams: HashMap<u32, StreamRec>,
-    recordings: HashMap<u32, RecordingRec>,
-    /// Movie → recording id, for attributing write completions.
-    recording_by_movie: HashMap<MovieId, u32>,
-    imports: HashMap<u32, ImportRec>,
-    /// Movie → import id, for attributing write completions.
-    import_by_movie: HashMap<MovieId, u32>,
+    /// Every stream, recording, copy and rebuild, keyed by the id its
+    /// commitment has in `admission`.
+    reservations: HashMap<u32, Reservation>,
     next_import: u32,
-    /// Disks that have died; their blocks are unreadable and the
-    /// write-path allocators never choose them again.
-    failed_disks: BTreeSet<usize>,
     /// Blocks lost with the dead spindles, awaiting reconstruction.
     lost_blocks: VecDeque<(MovieId, u64)>,
-    /// The in-progress rebuild, if one was started.
-    rebuild: Option<RebuildRec>,
     /// Streams waiting on each in-flight disk read (read coalescing:
     /// a second viewer of the same block piggybacks instead of
     /// queueing a duplicate).
@@ -535,9 +704,53 @@ impl StoreInner {
             }
         }
     }
+
+    /// Admits `demand_bps` for `id` (nothing when 0) and files its
+    /// work under the id.
+    fn reserve(
+        &mut self,
+        class: AdmissionClass,
+        id: u32,
+        demand_bps: u64,
+        work: Reservation,
+    ) -> Result<(), StoreError> {
+        if demand_bps > 0 {
+            self.admit_journaled(class, id, demand_bps)?;
+        }
+        self.reservations.insert(id, work);
+        Ok(())
+    }
+
+    /// Releases `id`'s commitment and hands back its work; its queued
+    /// writes no longer count for anyone.
+    fn release(&mut self, id: u32) -> Option<Reservation> {
+        self.admission.release(id);
+        let work = self.reservations.remove(&id)?;
+        if work.as_stream().is_none() {
+            self.spindles.owners.retain(|_, owner| *owner != id);
+        }
+        Some(work)
+    }
+
+    /// The registered movie `source` describes.
+    fn find(&self, source: &MovieSource) -> Option<MovieId> {
+        self.movies
+            .iter()
+            .find(|(_, rec)| rec.matches(source))
+            .map(|(id, _)| *id)
+    }
+
+    fn rebuild_id(&self) -> Option<u32> {
+        self.reservations
+            .iter()
+            .find(|(_, r)| matches!(r, Reservation::Rebuild(_)))
+            .map(|(id, _)| *id)
+    }
+
     fn consumers(&self) -> Vec<(MovieId, u64)> {
-        self.streams
+        self.reservations
             .values()
+            .filter_map(Reservation::as_stream)
             .map(|s| (s.movie, s.position_block))
             .collect()
     }
@@ -557,7 +770,11 @@ impl StoreInner {
     /// delivery edge bypasses the gate so batching never adds a
     /// stall.
     fn issue(&mut self, stream_id: u32, now: SimTime) {
-        let Some(stream) = self.streams.get_mut(&stream_id) else {
+        let Some(stream) = self
+            .reservations
+            .get_mut(&stream_id)
+            .and_then(Reservation::as_stream_mut)
+        else {
             return;
         };
         let movie = self.movies[&stream.movie].clone();
@@ -612,13 +829,13 @@ impl StoreInner {
                 continue;
             }
             let addr = movie.layout.locate(block);
-            if self.failed_disks.contains(&addr.disk) {
+            if self.spindles.failed.contains(&addr.disk) {
                 // The block died with its spindle: the stream stalls
                 // here until the rebuild relocates it (the relocated
                 // copy lands in the cache, unblocking this loop).
                 break;
             }
-            self.disks[addr.disk].enqueue(
+            self.spindles.disks[addr.disk].enqueue(
                 now,
                 stream.movie,
                 addr.offset,
@@ -659,10 +876,10 @@ impl StoreInner {
                     continue;
                 }
                 let addr = movie.layout.locate(block);
-                if self.failed_disks.contains(&addr.disk) {
+                if self.spindles.failed.contains(&addr.disk) {
                     continue;
                 }
-                self.disks[addr.disk].enqueue(
+                self.spindles.disks[addr.disk].enqueue(
                     now,
                     stream.movie,
                     addr.offset,
@@ -674,35 +891,20 @@ impl StoreInner {
         }
     }
 
-    /// Completes every disk read due at or before `now`, delivering
-    /// the block to every stream waiting on it.
+    /// Completes every disk request due at or before `now`: a read
+    /// delivers its block to every stream waiting on it, a write is
+    /// credited to the reservation that owns it.
     fn complete_due(&mut self, now: SimTime) -> usize {
         let mut completed = 0;
         // Playback positions cannot change while completions drain, so
         // one snapshot serves every block completed in this pass.
         let consumers = self.consumers();
-        for disk_index in 0..self.disks.len() {
-            while let Some((movie, offset, kind)) = self.disks[disk_index].pop_due(now) {
+        for disk_index in 0..self.spindles.disks.len() {
+            while let Some((movie, offset, kind)) = self.spindles.disks[disk_index].pop_due(now) {
                 completed += 1;
                 if kind == IoKind::Write {
-                    // A recorded or imported block reached the
-                    // platter; recordings, migrations, and rebuilds
-                    // track durability so the finalize step can wait
-                    // for the tail writes.
-                    if let Some(rb) = self.rebuild.as_mut() {
-                        if rb.in_flight.remove(&(disk_index, movie, offset)) {
-                            rb.durable += 1;
-                            continue;
-                        }
-                    }
-                    if let Some(rec_id) = self.recording_by_movie.get(&movie) {
-                        if let Some(rec) = self.recordings.get_mut(rec_id) {
-                            rec.blocks_durable += 1;
-                        }
-                    } else if let Some(imp_id) = self.import_by_movie.get(&movie) {
-                        if let Some(imp) = self.imports.get_mut(imp_id) {
-                            imp.durable += 1;
-                        }
+                    if let Some(owner) = self.spindles.owners.remove(&(disk_index, movie, offset)) {
+                        self.on_write_done(owner, false);
                     }
                     continue;
                 }
@@ -720,7 +922,11 @@ impl StoreInner {
                 let waiters = self.in_flight.remove(&key).unwrap_or_default();
                 self.cache.insert(key, &consumers);
                 for stream_id in waiters {
-                    if let Some(stream) = self.streams.get_mut(&stream_id) {
+                    if let Some(stream) = self
+                        .reservations
+                        .get_mut(&stream_id)
+                        .and_then(Reservation::as_stream_mut)
+                    {
                         stream.outstanding = stream.outstanding.saturating_sub(1);
                         stream.deliver(block);
                         self.blocks_delivered += 1;
@@ -731,93 +937,66 @@ impl StoreInner {
         completed
     }
 
-    /// Issues migration-copy writes due by `now`: each in-progress
-    /// import may have issued at most the blocks its reserved
-    /// bandwidth allows since it started (plus one so the first block
-    /// goes out immediately), a window at a time so the copy shares
-    /// the elevator queues with stream reads instead of flooding them.
-    fn issue_imports(&mut self, now: SimTime) {
+    /// Credits a write of reservation `owner` that reached a platter
+    /// or, when `lost`, died with one. A new movie counts a lost write
+    /// durable all the same, so its owner can still seal and finish; a
+    /// rebuild un-counts it, because the dead disk's scan queues the
+    /// block for reconstruction again.
+    fn on_write_done(&mut self, owner: u32, lost: bool) {
+        match self.reservations.get_mut(&owner) {
+            Some(Reservation::Write(w)) => w.durable += 1,
+            Some(Reservation::Rebuild(rb)) if lost => rb.issued -= 1,
+            Some(Reservation::Rebuild(rb)) => rb.durable += 1,
+            _ => {}
+        }
+    }
+
+    /// Issues the migration-copy writes their pacers allow by `now`,
+    /// copies in ascending id order.
+    fn issue_copies(&mut self, now: SimTime) {
         let block_size = u64::from(self.config.block_size);
-        let block_bits = block_size * 8;
-        let disks = self.disks.len();
-        let mut ids: Vec<u32> = self.imports.keys().copied().collect();
+        let mut ids: Vec<u32> = self
+            .reservations
+            .iter()
+            .filter(|(_, r)| r.is_copy())
+            .map(|(id, _)| *id)
+            .collect();
         ids.sort_unstable();
         for id in ids {
-            let imp = self.imports.get_mut(&id).expect("keyed above");
-            if imp.preexisting || imp.issued >= imp.total_blocks {
-                continue;
-            }
-            let elapsed_us = u128::from(now.saturating_since(imp.started).as_micros());
-            let allowed_bits = elapsed_us * u128::from(imp.reserve_bps) / 1_000_000;
-            let allowed =
-                ((allowed_bits / u128::from(block_bits)) as u64 + 1).min(imp.total_blocks);
-            while imp.issued < allowed && imp.issued - imp.durable < IMPORT_WINDOW {
-                let disk = live_disk(
-                    &self.failed_disks,
-                    disks,
-                    imp.start_disk + imp.map.block_count() as usize,
-                );
-                let offset = self.allocators[disk].alloc();
-                imp.map.push(BlockAddr { disk, offset });
-                self.disks[disk].enqueue_write(now, imp.movie, offset, block_size);
-                imp.issued += 1;
+            let Some(Reservation::Write(w)) = self.reservations.get_mut(&id) else {
+                unreachable!("filtered above");
+            };
+            let (Some(pacer), Some(total)) = (&w.pacer, w.total) else {
+                unreachable!("copies are paced and know their size");
+            };
+            while w.map.block_count() < total && pacer.allows(now, w.map.block_count(), w.durable) {
+                self.spindles
+                    .append(now, w.movie, &mut w.map, block_size, Some(id));
                 self.blocks_imported += 1;
             }
         }
     }
 
-    /// Earliest instant a paced import may issue its next block (only
-    /// meaningful for imports whose window is open but whose pace gate
-    /// is closed — in-flight writes are already covered by the disks'
-    /// completion times).
-    fn next_import_issue(&self) -> Option<SimTime> {
-        let block_bits = u64::from(self.config.block_size) * 8;
-        self.imports
-            .values()
-            .filter(|imp| {
-                !imp.preexisting
-                    && imp.issued < imp.total_blocks
-                    && imp.issued - imp.durable < IMPORT_WINDOW
-            })
-            .map(|imp| {
-                // Inverse of the issue gate in integer microseconds
-                // (rounded up), so the wake-up instant is never
-                // fractionally before the gate actually opens.
-                let next_bits = u128::from(imp.issued) * u128::from(block_bits);
-                let us = (next_bits * 1_000_000).div_ceil(u128::from(imp.reserve_bps.max(1)));
-                imp.started + SimDuration::from_micros(us as u64)
-            })
-            .min()
-    }
-
-    /// Issues reconstruction writes due by `now`: the rebuild may have
-    /// issued at most the blocks its reservation allows since it
-    /// started, a window at a time, exactly like a paced migration.
-    /// Each issued block is relocated in its movie's map to a fresh
-    /// offset on a surviving disk and staged through the cache, so
-    /// streams stalled on the lost block resume immediately while the
-    /// write drains to the platter behind them.
-    fn issue_rebuilds(&mut self, now: SimTime) {
-        let Some(rb) = self.rebuild.as_ref() else {
+    /// Issues the reconstruction writes the rebuild's pacer allows by
+    /// `now`, then completes the rebuild once nothing is left to
+    /// rebuild. Each issued block is relocated in its movie's map to a
+    /// fresh offset on a surviving disk and staged through the cache,
+    /// so streams stalled on it resume at once while the write drains
+    /// to the platter behind them.
+    fn advance_rebuild(&mut self, now: SimTime) {
+        let Some(id) = self.rebuild_id() else {
             return;
         };
         let block_size = u64::from(self.config.block_size);
-        let block_bits = block_size * 8;
-        let elapsed_us = u128::from(now.saturating_since(rb.started).as_micros());
-        let allowed_bits = elapsed_us * u128::from(rb.reserve_bps) / 1_000_000;
-        let allowed = ((allowed_bits / u128::from(block_bits)) as u64 + 1).min(rb.total);
-        let disks = self.disks.len();
+        let disks = self.spindles.disks.len();
         let consumers = self.consumers();
-        loop {
-            let rb = self.rebuild.as_ref().expect("checked above");
-            if rb.issued >= allowed || rb.issued - rb.durable >= IMPORT_WINDOW {
-                break;
-            }
+        let Some(Reservation::Rebuild(rb)) = self.reservations.get_mut(&id) else {
+            unreachable!("found above");
+        };
+        while rb.pacer.allows(now, rb.issued, rb.durable) {
             let Some((movie, index)) = self.lost_blocks.pop_front() else {
                 break;
             };
-            let disk = live_disk(&self.failed_disks, disks, rb.next_disk);
-            let offset = self.allocators[disk].alloc();
             let rec = self
                 .movies
                 .get_mut(&movie)
@@ -825,48 +1004,37 @@ impl StoreInner {
             let Layout::Mapped(map) = Arc::make_mut(&mut rec.layout) else {
                 unreachable!("layouts are materialized when a disk fails");
             };
-            map.replace(index, BlockAddr { disk, offset });
+            let disk = self.spindles.live(rb.next_disk);
+            // An aborted write can put an offset this movie's analytic
+            // stripe also uses back on the free list: skip (and keep
+            // taken) any offset the movie already occupies.
+            let addr = loop {
+                let addr = BlockAddr {
+                    disk,
+                    offset: self.spindles.allocators[disk].alloc(),
+                };
+                if map.invert(addr).is_none() {
+                    break addr;
+                }
+            };
+            map.replace(index, addr);
             self.cache.insert(BlockKey { movie, index }, &consumers);
-            self.disks[disk].enqueue_write(now, movie, offset, block_size);
-            let rb = self.rebuild.as_mut().expect("checked above");
+            self.spindles.disks[disk].enqueue_write(now, movie, addr.offset, block_size);
+            self.spindles.owners.insert((disk, movie, addr.offset), id);
             rb.issued += 1;
-            rb.in_flight.insert((disk, movie, offset));
-            rb.next_disk = (disk + 1) % disks.max(1);
+            rb.next_disk = (disk + 1) % disks;
         }
-    }
-
-    /// Earliest instant the rebuild may issue its next block (`None`
-    /// when idle, drained, or window-bound — in-flight writes are
-    /// covered by the disks' completion times).
-    fn next_rebuild_issue(&self) -> Option<SimTime> {
-        let rb = self.rebuild.as_ref()?;
-        if self.lost_blocks.is_empty() || rb.issued - rb.durable >= IMPORT_WINDOW {
-            return None;
-        }
-        let block_bits = u64::from(self.config.block_size) * 8;
-        let next_bits = u128::from(rb.issued) * u128::from(block_bits);
-        let us = (next_bits * 1_000_000).div_ceil(u128::from(rb.reserve_bps.max(1)));
-        Some(rb.started + SimDuration::from_micros(us as u64))
-    }
-
-    /// Releases the rebuild's reservation and journals completion once
-    /// every lost block is durable again.
-    fn finish_rebuild_if_done(&mut self) {
-        let done = self
-            .rebuild
-            .as_ref()
-            .is_some_and(|rb| rb.durable >= rb.total && self.lost_blocks.is_empty());
-        if !done {
+        if !self.lost_blocks.is_empty() || rb.issued > rb.durable {
             return;
         }
-        let rb = self.rebuild.take().expect("checked above");
-        self.admission.release(rb.id);
+        let (disk, blocks) = (rb.disk, rb.durable);
+        self.release(id);
         if let Some((journal, server)) = &self.journal {
             journal.record(
                 server,
                 EventKind::RebuildCompleted {
-                    disk: rb.disk as u32,
-                    blocks: rb.total,
+                    disk: disk as u32,
+                    blocks,
                 },
             );
         }
@@ -882,9 +1050,9 @@ impl fmt::Debug for BlockStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("BlockStore")
-            .field("disks", &inner.disks.len())
+            .field("disks", &inner.spindles.disks.len())
             .field("movies", &inner.movies.len())
-            .field("streams", &inner.streams.len())
+            .field("reservations", &inner.reservations.len())
             .finish_non_exhaustive()
     }
 }
@@ -898,21 +1066,19 @@ impl BlockStore {
         let allocators = disks.iter().map(|_| BlockAllocator::new()).collect();
         Arc::new(BlockStore {
             inner: Mutex::new(StoreInner {
-                disks,
-                allocators,
+                spindles: Spindles {
+                    disks,
+                    allocators,
+                    failed: BTreeSet::new(),
+                    owners: HashMap::new(),
+                },
                 cache: BufferCache::new(config.cache_blocks, config.policy),
                 admission: AdmissionController::new(config.capacity_bps()),
                 movies: HashMap::new(),
                 next_movie: 1,
-                streams: HashMap::new(),
-                recordings: HashMap::new(),
-                recording_by_movie: HashMap::new(),
-                imports: HashMap::new(),
-                import_by_movie: HashMap::new(),
+                reservations: HashMap::new(),
                 next_import: IMPORT_ID_BASE,
-                failed_disks: BTreeSet::new(),
                 lost_blocks: VecDeque::new(),
-                rebuild: None,
                 in_flight: HashMap::new(),
                 blocks_delivered: 0,
                 coalesced_reads: 0,
@@ -941,6 +1107,7 @@ impl BlockStore {
     pub fn disk_queue_depths(&self) -> Vec<u32> {
         self.inner
             .lock()
+            .spindles
             .disks
             .iter()
             .map(|d| d.pending() as u32)
@@ -953,53 +1120,32 @@ impl BlockStore {
     /// title (e.g. a modified frame rate) gets a fresh record so
     /// admission sees its real bandwidth demand.
     pub fn register_movie(&self, movie: &MovieSource) -> MovieId {
-        let mut inner = self.inner.lock();
-        if let Some((id, _)) = inner.movies.iter().find(|(_, rec)| {
-            rec.seed == movie.seed
-                && rec.frame_count == movie.frame_count
-                && rec.frame_rate == movie.frame_rate
-        }) {
-            return *id;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(id) = inner.find(movie) {
+            return id;
         }
         let id = MovieId(inner.next_movie);
         inner.next_movie += 1;
-        let bitrate_bps = movie.mean_bitrate_bps().max(1);
-        let (frames_per_block, block_count) = block_geometry(
-            inner.config.block_size,
-            bitrate_bps,
-            movie.frame_rate,
-            movie.frame_count,
-        );
-        let disks_len = inner.disks.len();
-        let start_disk = id.0 as usize % disks_len;
-        let layout = if inner.failed_disks.is_empty() {
-            Layout::Striped(StripeLayout::new(disks_len, start_disk, block_count))
+        let geo = Geometry::of(movie, inner.config.block_size);
+        let layout = if inner.spindles.failed.is_empty() {
+            let disks = inner.spindles.disks.len();
+            Layout::Striped(StripeLayout::new(
+                disks,
+                id.0 as usize % disks,
+                geo.blocks(),
+            ))
         } else {
             // With a spindle down the analytic stripe would place
             // blocks on the dead disk: lay the movie out through the
             // allocators over the survivors instead.
-            let inner = &mut *inner;
             let mut map = BlockMap::new();
-            for i in 0..block_count {
-                let disk = live_disk(&inner.failed_disks, disks_len, start_disk + i as usize);
-                map.push(BlockAddr {
-                    disk,
-                    offset: inner.allocators[disk].alloc(),
-                });
+            for _ in 0..geo.blocks() {
+                inner.spindles.place(id, &mut map);
             }
             Layout::Mapped(map)
         };
-        inner.movies.insert(
-            id,
-            MovieRec {
-                layout: Arc::new(layout),
-                frames_per_block,
-                frame_count: movie.frame_count,
-                frame_rate: movie.frame_rate,
-                bitrate_bps,
-                seed: movie.seed,
-            },
-        );
+        inner.movies.insert(id, MovieRec::new(layout, geo));
         id
     }
 
@@ -1008,16 +1154,7 @@ impl BlockStore {
     /// "does this replica already hold the title?" and must not mint
     /// movie ids as a side effect.
     pub fn find_movie(&self, source: &MovieSource) -> Option<MovieId> {
-        let inner = self.inner.lock();
-        inner
-            .movies
-            .iter()
-            .find(|(_, rec)| {
-                rec.seed == source.seed
-                    && rec.frame_count == source.frame_count
-                    && rec.frame_rate == source.frame_rate
-            })
-            .map(|(id, _)| *id)
+        self.inner.lock().find(source)
     }
 
     /// The stripe layout of a registered *published* movie (recorded
@@ -1042,7 +1179,11 @@ impl BlockStore {
 
     /// Mean bitrate the store attributes to a registered movie.
     pub fn bitrate_of(&self, movie: MovieId) -> Option<u64> {
-        self.inner.lock().movies.get(&movie).map(|m| m.bitrate_bps)
+        self.inner
+            .lock()
+            .movies
+            .get(&movie)
+            .map(|m| m.geo.bitrate_bps)
     }
 
     /// Opens stream `stream_id` over `movie` at `speed_pct`, passing
@@ -1059,17 +1200,10 @@ impl BlockStore {
         speed_pct: u32,
         now: SimTime,
     ) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        let Some(rec) = inner.movies.get(&movie).cloned() else {
-            return Err(StoreError::UnknownMovie(movie));
-        };
-        let demand = demand_bps(rec.bitrate_bps, speed_pct);
-        inner.admit_journaled(AdmissionClass::Stream, stream_id, demand)?;
-        inner
-            .streams
-            .insert(stream_id, StreamRec::new(movie, speed_pct));
-        inner.issue(stream_id, now);
-        Ok(())
+        let demand = self
+            .demand_for(movie, speed_pct)
+            .ok_or(StoreError::UnknownMovie(movie))?;
+        self.open_stream_with_demand(stream_id, movie, demand, now)
     }
 
     /// Opens stream `stream_id` over `movie` charging an explicit
@@ -1089,7 +1223,6 @@ impl BlockStore {
         &self,
         stream_id: u32,
         movie: MovieId,
-        speed_pct: u32,
         demand_bps: u64,
         now: SimTime,
     ) -> Result<(), StoreError> {
@@ -1097,30 +1230,32 @@ impl BlockStore {
         if !inner.movies.contains_key(&movie) {
             return Err(StoreError::UnknownMovie(movie));
         }
-        if demand_bps > 0 {
-            inner.admit_journaled(AdmissionClass::Stream, stream_id, demand_bps)?;
-        }
-        inner
-            .streams
-            .insert(stream_id, StreamRec::new(movie, speed_pct));
+        let work = Reservation::Stream(StreamRec::new(movie));
+        inner.reserve(AdmissionClass::Stream, stream_id, demand_bps, work)?;
         inner.issue(stream_id, now);
         Ok(())
     }
 
-    /// Re-charges admission for an already-open stream without
-    /// touching its pipeline — the sharing lifecycle transitions:
-    /// leader promotion and group split-out admit the stream's full
-    /// demand, fast-feed convergence passes 0 to release the delta
-    /// reservation while the (now merged) stream stays open.
+    /// Re-charges an open stream's admission to `demand_bps` without
+    /// touching its pipeline: a speed change (see
+    /// [`BlockStore::demand_for`]) and the sharing transitions —
+    /// leader promotion and group split-out admit a full stream,
+    /// fast-feed convergence passes 0 to release the catch-up delta
+    /// while the (now merged) stream stays open.
     ///
     /// # Errors
     ///
     /// [`StoreError::AdmissionRejected`] when a non-zero demand does
-    /// not fit (any previous commitment is untouched);
-    /// [`StoreError::UnknownStream`] for unknown ids.
-    pub fn recharge_stream(&self, stream_id: u32, demand_bps: u64) -> Result<(), StoreError> {
+    /// not fit (the old commitment stays as it was);
+    /// [`StoreError::UnknownStream`] for ids that are not open streams.
+    pub fn adjust(&self, stream_id: u32, demand_bps: u64) -> Result<(), StoreError> {
         let mut inner = self.inner.lock();
-        if !inner.streams.contains_key(&stream_id) {
+        if inner
+            .reservations
+            .get(&stream_id)
+            .and_then(Reservation::as_stream)
+            .is_none()
+        {
             return Err(StoreError::UnknownStream(stream_id));
         }
         if demand_bps == 0 {
@@ -1135,7 +1270,7 @@ impl BlockStore {
     /// bits/second.
     pub fn demand_for(&self, movie: MovieId, speed_pct: u32) -> Option<u64> {
         let inner = self.inner.lock();
-        let bitrate = inner.movies.get(&movie)?.bitrate_bps;
+        let bitrate = inner.movies.get(&movie)?.geo.bitrate_bps;
         Some(demand_bps(bitrate, speed_pct))
     }
 
@@ -1143,17 +1278,19 @@ impl BlockStore {
     pub fn block_of_frame(&self, movie: MovieId, frame: u64) -> Option<u64> {
         let inner = self.inner.lock();
         let rec = inner.movies.get(&movie)?;
-        Some(frame / rec.frames_per_block)
+        Some(frame / rec.geo.frames_per_block)
     }
 
     /// A stream's current playback position in blocks.
     pub fn stream_position_block(&self, stream_id: u32) -> Option<u64> {
         let inner = self.inner.lock();
-        inner.streams.get(&stream_id).map(|s| s.position_block)
+        let stream = inner.reservations.get(&stream_id)?.as_stream()?;
+        Some(stream.position_block)
     }
 
-    /// Bandwidth currently committed for one stream (`None` when the
-    /// stream holds no admission entry — e.g. a merged follower).
+    /// Bandwidth currently committed for one stream, recording, copy
+    /// or rebuild (`None` when the id holds no admission entry — e.g.
+    /// a merged follower).
     pub fn stream_demand(&self, stream_id: u32) -> Option<u64> {
         self.inner.lock().admission.demand_of(stream_id)
     }
@@ -1171,52 +1308,17 @@ impl BlockStore {
         self.inner.lock().cache.pinned_block_count()
     }
 
-    /// Re-negotiates a stream's playback speed (bandwidth demand).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::AdmissionRejected`] when the increased demand does
-    /// not fit (the old speed stays committed);
-    /// [`StoreError::UnknownStream`] for unknown ids.
-    pub fn set_speed(&self, stream_id: u32, speed_pct: u32) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        let Some(stream) = inner.streams.get(&stream_id) else {
-            return Err(StoreError::UnknownStream(stream_id));
-        };
-        let movie = stream.movie;
-        let bitrate = inner.movies[&movie].bitrate_bps;
-        let demand = demand_bps(bitrate, speed_pct);
-        inner.admit_journaled(AdmissionClass::Stream, stream_id, demand)?;
-        inner
-            .streams
-            .get_mut(&stream_id)
-            .expect("checked above")
-            .speed_pct = speed_pct;
-        Ok(())
-    }
-
-    /// Repositions a stream's prefetcher to the block holding `frame`.
-    /// Any trick-mode prefetch hint is reset: an unhinted seek means
-    /// the session layer has no prediction.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownStream`] for unknown ids.
-    pub fn seek_stream(&self, stream_id: u32, frame: u64, now: SimTime) -> Result<(), StoreError> {
-        self.seek_stream_with_hint(stream_id, frame, PrefetchHint::default(), now)
-    }
-
     /// Repositions a stream's prefetcher to the block holding `frame`
     /// carrying the session layer's trick-mode prediction: a backward
     /// hint arms a strided cache-filling sweep behind the new base, a
-    /// forward hint with stride > 1 widens the read-ahead horizon.
-    /// With [`StoreConfig::prefetch_hints`] off the hint is dropped
-    /// and this is exactly [`BlockStore::seek_stream`].
+    /// forward hint with stride > 1 widens the read-ahead horizon, and
+    /// the default hint (no prediction) resets any earlier one. With
+    /// [`StoreConfig::prefetch_hints`] off the hint is dropped.
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownStream`] for unknown ids.
-    pub fn seek_stream_with_hint(
+    pub fn seek_stream(
         &self,
         stream_id: u32,
         frame: u64,
@@ -1227,11 +1329,15 @@ impl BlockStore {
         let inner = &mut *guard;
         let honor = inner.config.prefetch_hints;
         let budget = inner.config.readahead_blocks.max(1);
-        let Some(stream) = inner.streams.get_mut(&stream_id) else {
+        let Some(stream) = inner
+            .reservations
+            .get_mut(&stream_id)
+            .and_then(Reservation::as_stream_mut)
+        else {
             return Err(StoreError::UnknownStream(stream_id));
         };
-        let rec = inner.movies[&stream.movie].clone();
-        let block = (frame / rec.frames_per_block).min(rec.layout.block_count());
+        let rec = &inner.movies[&stream.movie];
+        let block = (frame / rec.geo.frames_per_block).min(rec.layout.block_count());
         stream.base_block = block;
         stream.next_fetch = block;
         stream.contiguous = 0;
@@ -1255,7 +1361,11 @@ impl BlockStore {
         let mut inner = self.inner.lock();
         let honor = inner.config.prefetch_hints;
         let budget = inner.config.readahead_blocks.max(1);
-        let Some(stream) = inner.streams.get_mut(&stream_id) else {
+        let Some(stream) = inner
+            .reservations
+            .get_mut(&stream_id)
+            .and_then(Reservation::as_stream_mut)
+        else {
             return Err(StoreError::UnknownStream(stream_id));
         };
         if !honor {
@@ -1269,14 +1379,21 @@ impl BlockStore {
 
     /// A stream's current trick-mode prefetch hint.
     pub fn prefetch_hint(&self, stream_id: u32) -> Option<PrefetchHint> {
-        self.inner.lock().streams.get(&stream_id).map(|s| s.hint)
+        let inner = self.inner.lock();
+        Some(inner.reservations.get(&stream_id)?.as_stream()?.hint)
     }
 
-    /// Closes a stream, releasing its bandwidth (idempotent).
-    pub fn close_stream(&self, stream_id: u32) {
+    /// Closes a stream, recording, copy or rebuild, releasing its
+    /// bandwidth (idempotent). An unfinished recording or copy returns
+    /// its allocated blocks to the free pool; a closed rebuild leaves
+    /// the blocks it has not reconstructed queued for the next one.
+    pub fn close(&self, id: u32) {
         let mut inner = self.inner.lock();
-        inner.admission.release(stream_id);
-        inner.streams.remove(&stream_id);
+        if let Some(Reservation::Write(w)) = inner.release(id) {
+            for addr in w.map.addrs() {
+                inner.spindles.allocators[addr.disk].release(addr.offset);
+            }
+        }
     }
 
     /// Reports a stream's playback position (frame index) so the
@@ -1284,39 +1401,59 @@ impl BlockStore {
     pub fn note_position(&self, stream_id: u32, frame: u64) {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let Some(stream) = inner.streams.get_mut(&stream_id) else {
+        let Some(stream) = inner
+            .reservations
+            .get_mut(&stream_id)
+            .and_then(Reservation::as_stream_mut)
+        else {
             return;
         };
-        let fpb = inner.movies[&stream.movie].frames_per_block;
-        stream.position_block = frame / fpb;
+        stream.position_block = frame / inner.movies[&stream.movie].geo.frames_per_block;
     }
 
-    /// Completes due disk reads and tops up every prefetch pipeline.
-    /// Returns the number of blocks that completed.
+    /// Completes due disk requests, tops up every prefetch pipeline,
+    /// then issues the paced copy and rebuild writes now due. Returns
+    /// the number of requests that completed.
     pub fn pump(&self, now: SimTime) -> usize {
         let mut inner = self.inner.lock();
         let completed = inner.complete_due(now);
-        let ids: Vec<u32> = inner.streams.keys().copied().collect();
-        for id in ids {
+        let streams: Vec<u32> = inner
+            .reservations
+            .iter()
+            .filter(|(_, r)| r.as_stream().is_some())
+            .map(|(id, _)| *id)
+            .collect();
+        for id in streams {
             inner.issue(id, now);
         }
-        inner.issue_imports(now);
-        inner.issue_rebuilds(now);
-        inner.finish_rebuild_if_done();
+        inner.issue_copies(now);
+        inner.advance_rebuild(now);
         completed
     }
 
-    /// Earliest pending disk completion, paced-import issue, or
-    /// rebuild issue, if any.
+    /// Earliest pending disk completion or paced write issue, if any.
     pub fn next_event(&self) -> Option<SimTime> {
         let inner = self.inner.lock();
-        let disk_next = inner.disks.iter().filter_map(Disk::next_completion).min();
-        let import_next = inner.next_import_issue();
-        let rebuild_next = inner.next_rebuild_issue();
-        [disk_next, import_next, rebuild_next]
-            .into_iter()
-            .flatten()
-            .min()
+        let disk_next = inner
+            .spindles
+            .disks
+            .iter()
+            .filter_map(Disk::next_completion)
+            .min();
+        let paced_next = inner
+            .reservations
+            .values()
+            .filter_map(|r| match r {
+                Reservation::Write(w) if w.map.block_count() < w.total.unwrap_or(0) => {
+                    w.pacer.as_ref()?.next_issue(w.map.block_count(), w.durable)
+                }
+                Reservation::Rebuild(rb) if !inner.lost_blocks.is_empty() => {
+                    rb.pacer.next_issue(rb.issued, rb.durable)
+                }
+                _ => None,
+            })
+            .min();
+        disk_next.into_iter().chain(paced_next).min()
     }
 
     /// Number of frames (from the stream's current playback run)
@@ -1324,12 +1461,12 @@ impl BlockStore {
     /// with index strictly below this.
     pub fn frames_ready_through(&self, stream_id: u32) -> Option<u64> {
         let inner = self.inner.lock();
-        let stream = inner.streams.get(&stream_id)?;
+        let stream = inner.reservations.get(&stream_id)?.as_stream()?;
         let rec = inner.movies.get(&stream.movie)?;
         if stream.ready_through_block() >= rec.layout.block_count() {
-            return Some(rec.frame_count);
+            return Some(rec.geo.frame_count);
         }
-        Some((stream.ready_through_block() * rec.frames_per_block).min(rec.frame_count))
+        Some((stream.ready_through_block() * rec.geo.frames_per_block).min(rec.geo.frame_count))
     }
 
     /// Opens a recording session `rec_id` whose frames will match
@@ -1347,27 +1484,15 @@ impl BlockStore {
     /// does not fit.
     pub fn open_recording(&self, rec_id: u32, source: &MovieSource) -> Result<MovieId, StoreError> {
         let mut inner = self.inner.lock();
-        let demand = source.mean_bitrate_bps().max(1);
-        inner.admit_journaled(AdmissionClass::Recording, rec_id, demand)?;
         let movie = MovieId(inner.next_movie);
+        let geo = Geometry {
+            frame_count: 0,
+            frame_rate: source.frame_rate.max(1),
+            ..Geometry::of(source, inner.config.block_size)
+        };
+        let work = Reservation::Write(NewMovie::new(movie, None, None, geo));
+        inner.reserve(AdmissionClass::Recording, rec_id, geo.bitrate_bps, work)?;
         inner.next_movie += 1;
-        let start_disk = movie.0 as usize % inner.disks.len();
-        inner.recordings.insert(
-            rec_id,
-            RecordingRec {
-                movie,
-                frame_rate: source.frame_rate.max(1),
-                seed: source.seed,
-                start_disk,
-                map: BlockMap::new(),
-                partial_bytes: 0,
-                total_bytes: 0,
-                frames: 0,
-                sealed: false,
-                blocks_durable: 0,
-            },
-        );
-        inner.recording_by_movie.insert(movie, rec_id);
         Ok(movie)
     }
 
@@ -1386,34 +1511,30 @@ impl BlockStore {
         let inner = &mut *guard;
         let consumers = inner.consumers();
         let block_size = u64::from(inner.config.block_size);
-        let disks = inner.disks.len();
-        let Some(rec) = inner.recordings.get_mut(&rec_id) else {
+        let Some(Reservation::Write(
+            w @ NewMovie {
+                pacer: None,
+                total: None,
+                ..
+            },
+        )) = inner.reservations.get_mut(&rec_id)
+        else {
             return Err(StoreError::UnknownStream(rec_id));
         };
-        if rec.sealed {
-            return Err(StoreError::UnknownStream(rec_id));
-        }
-        rec.partial_bytes += u64::from(bytes);
-        rec.total_bytes += u64::from(bytes);
-        rec.frames += 1;
+        w.partial_bytes += u64::from(bytes);
+        w.total_bytes += u64::from(bytes);
+        w.geo.frame_count += 1;
         inner.frames_recorded += 1;
-        while rec.partial_bytes >= block_size {
-            rec.partial_bytes -= block_size;
-            let disk = live_disk(
-                &inner.failed_disks,
-                disks,
-                rec.start_disk + rec.map.block_count() as usize,
-            );
-            let offset = inner.allocators[disk].alloc();
-            let index = rec.map.push(BlockAddr { disk, offset });
-            inner.cache.insert(
-                BlockKey {
-                    movie: rec.movie,
-                    index,
-                },
-                &consumers,
-            );
-            inner.disks[disk].enqueue_write(now, rec.movie, offset, block_size);
+        while w.partial_bytes >= block_size {
+            w.partial_bytes -= block_size;
+            let index = inner
+                .spindles
+                .append(now, w.movie, &mut w.map, block_size, Some(rec_id));
+            let key = BlockKey {
+                movie: w.movie,
+                index,
+            };
+            inner.cache.insert(key, &consumers);
             inner.blocks_recorded += 1;
         }
         Ok(())
@@ -1422,8 +1543,8 @@ impl BlockStore {
     /// Seals a recording: capture is over, the partial tail block (if
     /// any) is flushed to disk, and the session's write bandwidth is
     /// released back to admission control. Queued writes keep
-    /// draining; [`BlockStore::recording_durable`] reports when the
-    /// last one lands. Idempotent.
+    /// draining; [`BlockStore::durable`] reports when the last one
+    /// lands. Idempotent.
     ///
     /// # Errors
     ///
@@ -1432,113 +1553,76 @@ impl BlockStore {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let block_size = u64::from(inner.config.block_size);
-        let disks = inner.disks.len();
-        let Some(rec) = inner.recordings.get_mut(&rec_id) else {
+        let Some(Reservation::Write(w @ NewMovie { pacer: None, .. })) =
+            inner.reservations.get_mut(&rec_id)
+        else {
             return Err(StoreError::UnknownStream(rec_id));
         };
-        if rec.sealed {
+        if w.total.is_some() {
             return Ok(());
         }
-        if rec.partial_bytes > 0 {
-            let tail = rec.partial_bytes;
-            rec.partial_bytes = 0;
-            let disk = live_disk(
-                &inner.failed_disks,
-                disks,
-                rec.start_disk + rec.map.block_count() as usize,
-            );
-            let offset = inner.allocators[disk].alloc();
-            rec.map.push(BlockAddr { disk, offset });
+        if w.partial_bytes > 0 {
             // The tail transfer costs only the bytes it holds.
-            inner.disks[disk].enqueue_write(now, rec.movie, offset, tail.min(block_size));
+            let tail = std::mem::take(&mut w.partial_bytes).min(block_size);
+            inner
+                .spindles
+                .append(now, w.movie, &mut w.map, tail, Some(rec_id));
             inner.blocks_recorded += 1;
         }
-        rec.sealed = true;
+        w.total = Some(w.map.block_count());
         inner.admission.release(rec_id);
         Ok(())
     }
 
-    /// Whether a recording has been sealed *and* every queued write
-    /// has reached the platter (`None` for unknown sessions).
-    pub fn recording_durable(&self, rec_id: u32) -> Option<bool> {
-        let inner = self.inner.lock();
-        let rec = inner.recordings.get(&rec_id)?;
-        Some(rec.sealed && rec.blocks_durable >= rec.map.block_count())
+    /// Whether a recording or copy has every block issued and on a
+    /// platter (`None` for ids that are neither).
+    pub fn durable(&self, id: u32) -> Option<bool> {
+        match self.inner.lock().reservations.get(&id)? {
+            Reservation::Write(w) => Some(w.is_durable()),
+            _ => None,
+        }
     }
 
-    /// Progress of a recording: `(frames captured, blocks allocated,
-    /// blocks durable)`.
-    pub fn recording_progress(&self, rec_id: u32) -> Option<(u64, u64, u64)> {
-        let inner = self.inner.lock();
-        let rec = inner.recordings.get(&rec_id)?;
-        Some((rec.frames, rec.map.block_count(), rec.blocks_durable))
-    }
-
-    /// Finalizes a durable recording into a registered movie: the
-    /// block map becomes the movie's layout and the actual captured
-    /// frame count and mean bitrate are recorded, so a subsequent
-    /// [`BlockStore::register_movie`] with the matching source finds
-    /// it and playback reads the recorded blocks.
+    /// Finalizes a durable recording or copy into a registered movie:
+    /// the block map becomes the movie's layout, the reservation is
+    /// released, and a subsequent [`BlockStore::register_movie`] of
+    /// the matching source finds the movie, so playback reads the new
+    /// blocks. A recording registers the frame count and mean bitrate
+    /// it actually captured; a copy of a movie already resident here
+    /// reports that movie.
     ///
     /// # Errors
     ///
-    /// [`StoreError::UnknownStream`] for unknown sessions;
+    /// [`StoreError::UnknownStream`] for ids that are neither;
     /// [`StoreError::RecordingIncomplete`] while frames are still
-    /// arriving or writes are still queued.
-    pub fn finish_recording(&self, rec_id: u32) -> Result<RecordingSummary, StoreError> {
+    /// arriving or writes are still queued, and
+    /// [`StoreError::ImportIncomplete`] while a copy still has blocks
+    /// to issue or persist.
+    pub fn finish(&self, id: u32) -> Result<RecordingSummary, StoreError> {
         let mut inner = self.inner.lock();
-        match inner.recordings.get(&rec_id) {
-            None => return Err(StoreError::UnknownStream(rec_id)),
-            Some(rec) if !rec.sealed || rec.blocks_durable < rec.map.block_count() => {
-                return Err(StoreError::RecordingIncomplete(rec_id));
+        match inner.reservations.get(&id) {
+            Some(Reservation::Write(w)) if w.is_durable() => {}
+            Some(Reservation::Write(w)) if w.pacer.is_some() => {
+                return Err(StoreError::ImportIncomplete(id))
             }
-            Some(_) => {}
+            Some(Reservation::Write(_)) => return Err(StoreError::RecordingIncomplete(id)),
+            _ => return Err(StoreError::UnknownStream(id)),
         }
-        let rec = inner.recordings.remove(&rec_id).expect("checked above");
-        inner.recording_by_movie.remove(&rec.movie);
-        let blocks = rec.map.block_count();
-        let bitrate_bps = (rec.total_bytes * 8 * u64::from(rec.frame_rate))
-            .checked_div(rec.frames)
-            .unwrap_or(1)
-            .max(1);
-        let frames_per_block = if blocks == 0 {
-            1
-        } else {
-            rec.frames.div_ceil(blocks).max(1)
+        let Some(Reservation::Write(w)) = inner.release(id) else {
+            unreachable!("checked above");
         };
-        let summary = RecordingSummary {
-            movie: rec.movie,
-            frame_count: rec.frames,
-            frame_rate: rec.frame_rate,
-            bitrate_bps,
-            blocks,
-        };
-        inner.movies.insert(
-            rec.movie,
-            MovieRec {
-                layout: Arc::new(Layout::Mapped(rec.map)),
-                frames_per_block,
-                frame_count: rec.frames,
-                frame_rate: rec.frame_rate,
-                bitrate_bps,
-                seed: rec.seed,
-            },
-        );
-        Ok(summary)
-    }
-
-    /// Abandons a recording: releases its bandwidth and returns its
-    /// allocated blocks to the free pool (idempotent).
-    pub fn abort_recording(&self, rec_id: u32) {
-        let mut inner = self.inner.lock();
-        inner.admission.release(rec_id);
-        let Some(rec) = inner.recordings.remove(&rec_id) else {
-            return;
-        };
-        inner.recording_by_movie.remove(&rec.movie);
-        for addr in rec.map.addrs() {
-            inner.allocators[addr.disk].release(addr.offset);
-        }
+        let (movie, geo) = (w.movie, w.geometry());
+        let rec = inner
+            .movies
+            .entry(movie)
+            .or_insert_with(|| MovieRec::new(Layout::Mapped(w.map), geo));
+        Ok(RecordingSummary {
+            movie,
+            frame_count: rec.geo.frame_count,
+            frame_rate: rec.geo.frame_rate,
+            bitrate_bps: rec.geo.bitrate_bps,
+            blocks: rec.layout.block_count(),
+        })
     }
 
     /// Opens a paced migration copy of `source` onto this store,
@@ -1546,11 +1630,12 @@ impl BlockStore {
     /// playback streams draw on: the copy's block writes are issued
     /// at that pace through the free-block allocator and the
     /// elevator/SCAN disk queues, so a migration competes with
-    /// concurrent streams instead of teleporting data. Returns the
-    /// import id; poll [`BlockStore::import_durable`] and call
-    /// [`BlockStore::finish_import`] when every block has landed. A
-    /// source already registered here completes instantly (nothing to
-    /// copy) and reserves nothing.
+    /// concurrent streams instead of teleporting data. Unlike the bulk
+    /// [`BlockStore::import_movie`], the copy visibly displaces
+    /// streams for its duration. Returns the copy's id; poll
+    /// [`BlockStore::durable`] and call [`BlockStore::finish`] when
+    /// every block has landed. A source already registered here
+    /// completes instantly (nothing to copy) and reserves nothing.
     ///
     /// # Errors
     ///
@@ -1564,137 +1649,22 @@ impl BlockStore {
     ) -> Result<u32, StoreError> {
         let mut inner = self.inner.lock();
         let id = inner.next_import;
-        let existing = inner
-            .movies
-            .iter()
-            .find(|(_, rec)| {
-                rec.seed == source.seed
-                    && rec.frame_count == source.frame_count
-                    && rec.frame_rate == source.frame_rate
-            })
-            .map(|(mid, _)| *mid);
-        if let Some(movie) = existing {
-            inner.next_import += 1;
-            inner.imports.insert(
-                id,
-                ImportRec {
-                    movie,
-                    reserve_bps: 0,
-                    started: now,
-                    map: BlockMap::new(),
-                    total_blocks: 0,
-                    issued: 0,
-                    durable: 0,
-                    start_disk: 0,
-                    frames_per_block: 1,
-                    frame_count: source.frame_count,
-                    frame_rate: source.frame_rate,
-                    bitrate_bps: source.mean_bitrate_bps().max(1),
-                    seed: source.seed,
-                    preexisting: true,
-                },
-            );
-            return Ok(id);
-        }
-        inner.admit_journaled(AdmissionClass::Import, id, reserve_bps.max(1))?;
-        inner.next_import += 1;
-        let bitrate_bps = source.mean_bitrate_bps().max(1);
-        let (frames_per_block, total_blocks) = block_geometry(
-            inner.config.block_size,
-            bitrate_bps,
-            source.frame_rate,
-            source.frame_count,
-        );
-        let movie = MovieId(inner.next_movie);
-        inner.next_movie += 1;
-        let start_disk = movie.0 as usize % inner.disks.len();
-        inner.imports.insert(
-            id,
-            ImportRec {
-                movie,
-                reserve_bps: reserve_bps.max(1),
-                started: now,
-                map: BlockMap::new(),
-                total_blocks,
-                issued: 0,
-                durable: 0,
-                start_disk,
-                frames_per_block,
-                frame_count: source.frame_count,
-                frame_rate: source.frame_rate.max(1),
-                bitrate_bps,
-                seed: source.seed,
-                preexisting: false,
-            },
-        );
-        inner.import_by_movie.insert(movie, id);
-        inner.issue_imports(now);
-        Ok(id)
-    }
-
-    /// Whether an import has issued and persisted every block (`None`
-    /// for unknown imports).
-    pub fn import_durable(&self, import_id: u32) -> Option<bool> {
-        let inner = self.inner.lock();
-        let imp = inner.imports.get(&import_id)?;
-        Some(imp.preexisting || (imp.issued >= imp.total_blocks && imp.durable >= imp.total_blocks))
-    }
-
-    /// Finalizes a durable import: the copied block map becomes the
-    /// movie's layout, the bandwidth reservation is released, and a
-    /// subsequent [`BlockStore::register_movie`] of the matching
-    /// source finds the copy, so the title streams from this replica.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownStream`] for unknown imports;
-    /// [`StoreError::ImportIncomplete`] while blocks are still being
-    /// issued or persisted.
-    pub fn finish_import(&self, import_id: u32) -> Result<MovieId, StoreError> {
-        let mut inner = self.inner.lock();
-        match inner.imports.get(&import_id) {
-            None => return Err(StoreError::UnknownStream(import_id)),
-            Some(imp)
-                if !imp.preexisting
-                    && (imp.issued < imp.total_blocks || imp.durable < imp.total_blocks) =>
-            {
-                return Err(StoreError::ImportIncomplete(import_id));
-            }
-            Some(_) => {}
-        }
-        let imp = inner.imports.remove(&import_id).expect("checked above");
-        inner.import_by_movie.remove(&imp.movie);
-        inner.admission.release(import_id);
-        if !imp.preexisting {
-            inner.movies.insert(
-                imp.movie,
-                MovieRec {
-                    layout: Arc::new(Layout::Mapped(imp.map)),
-                    frames_per_block: imp.frames_per_block,
-                    frame_count: imp.frame_count,
-                    frame_rate: imp.frame_rate,
-                    bitrate_bps: imp.bitrate_bps,
-                    seed: imp.seed,
-                },
-            );
-        }
-        Ok(imp.movie)
-    }
-
-    /// Abandons an in-flight import (the migration's target was
-    /// removed, or the copy is no longer wanted): the bandwidth
-    /// reservation is released and every allocated block returns to
-    /// the free pool (idempotent).
-    pub fn abort_import(&self, import_id: u32) {
-        let mut inner = self.inner.lock();
-        inner.admission.release(import_id);
-        let Some(imp) = inner.imports.remove(&import_id) else {
-            return;
+        let geo = Geometry::of(source, inner.config.block_size);
+        let reserve_bps = reserve_bps.max(1);
+        let pacer = Pacer::new(reserve_bps, inner.config.block_size, now);
+        let resident = inner.find(source);
+        let (movie, total, demand) = match resident {
+            Some(movie) => (movie, 0, 0),
+            None => (MovieId(inner.next_movie), geo.blocks(), reserve_bps),
         };
-        inner.import_by_movie.remove(&imp.movie);
-        for addr in imp.map.addrs() {
-            inner.allocators[addr.disk].release(addr.offset);
+        let work = Reservation::Write(NewMovie::new(movie, Some(pacer), Some(total), geo));
+        inner.reserve(AdmissionClass::Import, id, demand, work)?;
+        inner.next_import += 1;
+        if resident.is_none() {
+            inner.next_movie += 1;
+            inner.issue_copies(now);
         }
+        Ok(id)
     }
 
     /// Imports a copy of `source` onto this store's disks — the
@@ -1706,42 +1676,20 @@ impl BlockStore {
     pub fn import_movie(&self, source: &MovieSource, now: SimTime) -> MovieId {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if let Some((id, _)) = inner.movies.iter().find(|(_, rec)| {
-            rec.seed == source.seed
-                && rec.frame_count == source.frame_count
-                && rec.frame_rate == source.frame_rate
-        }) {
-            return *id;
+        if let Some(id) = inner.find(source) {
+            return id;
         }
         let id = MovieId(inner.next_movie);
         inner.next_movie += 1;
-        let bitrate_bps = source.mean_bitrate_bps().max(1);
-        let (frames_per_block, block_count) = block_geometry(
-            inner.config.block_size,
-            bitrate_bps,
-            source.frame_rate,
-            source.frame_count,
-        );
-        let disks = inner.disks.len();
-        let start_disk = id.0 as usize % disks;
+        let geo = Geometry::of(source, inner.config.block_size);
+        let block_size = u64::from(inner.config.block_size);
         let mut map = BlockMap::new();
-        for i in 0..block_count {
-            let disk = live_disk(&inner.failed_disks, disks, start_disk + i as usize);
-            let offset = inner.allocators[disk].alloc();
-            map.push(BlockAddr { disk, offset });
-            inner.disks[disk].enqueue_write(now, id, offset, u64::from(inner.config.block_size));
+        for _ in 0..geo.blocks() {
+            inner.spindles.append(now, id, &mut map, block_size, None);
         }
-        inner.movies.insert(
-            id,
-            MovieRec {
-                layout: Arc::new(Layout::Mapped(map)),
-                frames_per_block,
-                frame_count: source.frame_count,
-                frame_rate: source.frame_rate,
-                bitrate_bps,
-                seed: source.seed,
-            },
-        );
+        inner
+            .movies
+            .insert(id, MovieRec::new(Layout::Mapped(map), geo));
         id
     }
 
@@ -1751,22 +1699,22 @@ impl BlockStore {
     /// (until a rebuild relocates it), sessions waiting on dropped
     /// writes are not wedged. Every layout is materialized into an
     /// explicit block map, the blocks resident on the dead spindle are
-    /// queued for reconstruction, the write-path allocators stop
-    /// choosing the disk, and admission capacity shrinks to the
-    /// surviving disks' share — existing commitments are untouched, so
-    /// the controller may read over-committed until streams drain.
+    /// queued for reconstruction — joining a rebuild already running —
+    /// the write-path allocators stop choosing the disk, and admission
+    /// capacity shrinks to the surviving disks' share. Existing
+    /// commitments are untouched, so the controller may read
+    /// over-committed until streams drain.
     ///
     /// Returns the number of blocks lost with the spindle (0 for an
     /// out-of-range or already-dead disk). Idempotent per disk.
     pub fn fail_disk(&self, disk: usize, _now: SimTime) -> u64 {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if disk >= inner.disks.len() || inner.failed_disks.contains(&disk) {
+        if disk >= inner.spindles.disks.len() || !inner.spindles.failed.insert(disk) {
             return 0;
         }
-        inner.failed_disks.insert(disk);
         // Unwind the requests that died with the arm.
-        for (movie, offset, kind) in inner.disks[disk].fail() {
+        for (movie, offset, kind) in inner.spindles.disks[disk].fail() {
             match kind {
                 IoKind::Read => {
                     let Some(block) = inner
@@ -1781,25 +1729,19 @@ impl BlockStore {
                         index: block,
                     };
                     for sid in inner.in_flight.remove(&key).unwrap_or_default() {
-                        if let Some(s) = inner.streams.get_mut(&sid) {
+                        if let Some(s) = inner
+                            .reservations
+                            .get_mut(&sid)
+                            .and_then(Reservation::as_stream_mut)
+                        {
                             s.outstanding = s.outstanding.saturating_sub(1);
                             s.next_fetch = s.next_fetch.min(block);
                         }
                     }
                 }
                 IoKind::Write => {
-                    // The write's content is lost with the platter,
-                    // but the owning session must not wedge waiting
-                    // for a completion that will never come: count it
-                    // durable so sealing/finalizing still works.
-                    if let Some(rec_id) = inner.recording_by_movie.get(&movie) {
-                        if let Some(rec) = inner.recordings.get_mut(rec_id) {
-                            rec.blocks_durable += 1;
-                        }
-                    } else if let Some(imp_id) = inner.import_by_movie.get(&movie) {
-                        if let Some(imp) = inner.imports.get_mut(imp_id) {
-                            imp.durable += 1;
-                        }
+                    if let Some(owner) = inner.spindles.owners.remove(&(disk, movie, offset)) {
+                        inner.on_write_done(owner, true);
                     }
                 }
             }
@@ -1807,7 +1749,7 @@ impl BlockStore {
         // Materialize every layout, collect the lost blocks, and
         // reserve the surviving analytic offsets so rebuild
         // allocations can never collide with live blocks.
-        let disks_len = inner.disks.len();
+        let disks_len = inner.spindles.disks.len();
         let mut lost = 0u64;
         let mut high_water = vec![0u64; disks_len];
         let ids: Vec<MovieId> = inner.movies.keys().copied().collect();
@@ -1830,11 +1772,11 @@ impl BlockStore {
             }
         }
         for (d, hi) in high_water.into_iter().enumerate() {
-            inner.allocators[d].reserve_through(hi);
+            inner.spindles.allocators[d].reserve_through(hi);
         }
         // The dead arm delivers nothing: admission capacity shrinks to
         // the survivors' share.
-        let live = (disks_len - inner.failed_disks.len()) as u64;
+        let live = (disks_len - inner.spindles.failed.len()) as u64;
         let capacity = inner.config.capacity_bps() / disks_len as u64 * live;
         inner.admission.set_capacity_bps(capacity);
         if let Some((journal, server)) = &inner.journal {
@@ -1856,7 +1798,9 @@ impl BlockStore {
     /// and stage through the cache, unblocking stalled streams as the
     /// rebuild sweeps forward; the reservation is released and a
     /// `RebuildCompleted` event journaled when the last block is
-    /// durable. Returns the rebuild's admission id.
+    /// durable. Returns the rebuild's admission id — that of the
+    /// running rebuild, without a second admission, when one is
+    /// already under way (it has taken over the newly lost blocks).
     ///
     /// # Errors
     ///
@@ -1865,52 +1809,43 @@ impl BlockStore {
     pub fn begin_rebuild(&self, reserve_bps: u64, now: SimTime) -> Result<u32, StoreError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
+        if let Some(id) = inner.rebuild_id() {
+            return Ok(id);
+        }
         let id = inner.next_import;
-        inner.admit_journaled(AdmissionClass::Import, id, reserve_bps.max(1))?;
-        inner.next_import += 1;
-        let disk = inner.failed_disks.iter().next_back().copied().unwrap_or(0);
-        let total = inner.lost_blocks.len() as u64;
-        inner.rebuild = Some(RebuildRec {
-            id,
+        let reserve_bps = reserve_bps.max(1);
+        let disk = inner.spindles.failed.last().copied().unwrap_or(0);
+        let work = Reservation::Rebuild(Rebuild {
             disk,
-            reserve_bps: reserve_bps.max(1),
-            started: now,
+            pacer: Pacer::new(reserve_bps, inner.config.block_size, now),
             issued: 0,
             durable: 0,
-            total,
             next_disk: 0,
-            in_flight: HashSet::new(),
         });
+        inner.reserve(AdmissionClass::Import, id, reserve_bps, work)?;
+        inner.next_import += 1;
         if let Some((journal, server)) = &inner.journal {
             journal.record(
                 server,
                 EventKind::RebuildStarted {
                     disk: disk as u32,
-                    blocks: total,
-                    reserve_bps: reserve_bps.max(1),
+                    blocks: inner.lost_blocks.len() as u64,
+                    reserve_bps,
                 },
             );
         }
-        inner.issue_rebuilds(now);
-        inner.finish_rebuild_if_done();
+        inner.advance_rebuild(now);
         Ok(id)
     }
 
     /// Whether a rebuild is currently reconstructing lost blocks.
     pub fn rebuild_active(&self) -> bool {
-        self.inner.lock().rebuild.is_some()
-    }
-
-    /// Rebuild progress as `(durable, total)` blocks (`None` when no
-    /// rebuild is running).
-    pub fn rebuild_progress(&self) -> Option<(u64, u64)> {
-        let inner = self.inner.lock();
-        inner.rebuild.as_ref().map(|rb| (rb.durable, rb.total))
+        self.inner.lock().rebuild_id().is_some()
     }
 
     /// Indices of the disks that have died, in order.
     pub fn failed_disks(&self) -> Vec<usize> {
-        self.inner.lock().failed_disks.iter().copied().collect()
+        self.inner.lock().spindles.failed.iter().copied().collect()
     }
 
     /// Blocks lost to dead spindles still awaiting reconstruction.
@@ -1926,15 +1861,24 @@ impl BlockStore {
     /// Snapshot of all counters.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
+        let (mut open_streams, mut recordings_active, mut imports_active) = (0, 0, 0);
+        for r in inner.reservations.values() {
+            match r {
+                Reservation::Stream(_) => open_streams += 1,
+                Reservation::Write(_) if r.is_copy() => imports_active += 1,
+                Reservation::Write(_) => recordings_active += 1,
+                Reservation::Rebuild(_) => {}
+            }
+        }
         StoreStats {
             cache: inner.cache.stats,
             admission: inner.admission.stats,
-            disks: inner.disks.iter().map(|d| d.stats).collect(),
+            disks: inner.spindles.disks.iter().map(|d| d.stats).collect(),
             blocks_delivered: inner.blocks_delivered,
             coalesced_reads: inner.coalesced_reads,
-            open_streams: inner.streams.len(),
-            recordings_active: inner.recordings.len(),
-            imports_active: inner.imports.len(),
+            open_streams,
+            recordings_active,
+            imports_active,
             blocks_recorded: inner.blocks_recorded,
             blocks_imported: inner.blocks_imported,
             frames_recorded: inner.frames_recorded,
@@ -1942,20 +1886,6 @@ impl BlockStore {
             capacity_bps: inner.admission.capacity_bps(),
         }
     }
-}
-
-/// Frames per block and block count for a movie of `bitrate_bps` at
-/// `frame_rate` over `frame_count` frames.
-fn block_geometry(
-    block_size: u32,
-    bitrate_bps: u64,
-    frame_rate: u32,
-    frame_count: u64,
-) -> (u64, u64) {
-    let block_bits = u64::from(block_size) * 8;
-    let frames_per_block = (block_bits * u64::from(frame_rate.max(1)) / bitrate_bps.max(1)).max(1);
-    let block_count = frame_count.div_ceil(frames_per_block).max(1);
-    (frames_per_block, block_count)
 }
 
 fn demand_bps(bitrate_bps: u64, speed_pct: u32) -> u64 {
@@ -1972,6 +1902,7 @@ fn reject(r: Rejection) -> StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn tiny_config() -> StoreConfig {
         StoreConfig {
@@ -2064,7 +1995,12 @@ mod tests {
         let id = store.register_movie(&movie);
         store.open_stream(3, id, 100, SimTime::ZERO).unwrap();
         store
-            .seek_stream(3, movie.frame_count - 1, SimTime::ZERO)
+            .seek_stream(
+                3,
+                movie.frame_count - 1,
+                PrefetchHint::default(),
+                SimTime::ZERO,
+            )
             .unwrap();
         drain(&store, 3, movie.frame_count);
     }
@@ -2105,14 +2041,14 @@ mod tests {
             // Seek to the middle with a backward hint: the sweep
             // pre-reads strided blocks behind the base.
             store
-                .seek_stream_with_hint(9, mid_block * fpb, PrefetchHint::backward(stride), now)
+                .seek_stream(9, mid_block * fpb, PrefetchHint::backward(stride), now)
                 .unwrap();
             pump_quiet(&store, &mut now);
             // Rewind by one stride: with hints the target block is
             // cache-resident and delivery is immediate.
             let back_block = mid_block - u64::from(stride);
             store
-                .seek_stream_with_hint(9, back_block * fpb, PrefetchHint::backward(stride), now)
+                .seek_stream(9, back_block * fpb, PrefetchHint::backward(stride), now)
                 .unwrap();
             let ready = store.frames_ready_through(9).unwrap();
             if hints {
@@ -2149,12 +2085,7 @@ mod tests {
             let mut now = SimTime::ZERO;
             while block >= stride {
                 store
-                    .seek_stream_with_hint(
-                        4,
-                        block * fpb,
-                        PrefetchHint::backward(stride as u32),
-                        now,
-                    )
+                    .seek_stream(4, block * fpb, PrefetchHint::backward(stride as u32), now)
                     .unwrap();
                 pump_quiet(&store, &mut now);
                 block -= stride;
@@ -2227,7 +2158,7 @@ mod tests {
         };
         assert!(demanded_bps > available_bps);
         // Closing a stream frees its bandwidth for a newcomer.
-        store.close_stream(0);
+        store.close(0);
         store.open_stream(99, id, 100, SimTime::ZERO).unwrap();
     }
 
@@ -2249,15 +2180,15 @@ mod tests {
         assert!(stats.blocks_recorded > 0);
         // Drain the queued writes, then finalize.
         assert!(matches!(
-            store.finish_recording(5),
+            store.finish(5),
             Err(StoreError::RecordingIncomplete(5))
         ));
-        while store.recording_durable(5) != Some(true) {
+        while store.durable(5) != Some(true) {
             let t = store.next_event().expect("writes queued");
             now = now.max(t);
             store.pump(now);
         }
-        let summary = store.finish_recording(5).unwrap();
+        let summary = store.finish(5).unwrap();
         assert_eq!(summary.movie, movie);
         assert_eq!(summary.frame_count, source.frame_count);
         assert!(summary.bitrate_bps > 0);
@@ -2310,10 +2241,8 @@ mod tests {
             reserve,
             "the copy charges the same admission capacity streams draw on"
         );
-        assert_eq!(store.import_durable(id), Some(false));
-        let done = pump_until(&store, SimTime::ZERO, || {
-            store.import_durable(id) == Some(true)
-        });
+        assert_eq!(store.durable(id), Some(false));
+        let done = pump_until(&store, SimTime::ZERO, || store.durable(id) == Some(true));
         // Pacing: copying at the movie's own bitrate takes on the
         // order of the movie's duration, not an instant.
         let floor = source.frame_count as f64 / f64::from(source.frame_rate) * 0.5;
@@ -2321,7 +2250,7 @@ mod tests {
             done.saturating_since(SimTime::ZERO).as_secs_f64() >= floor,
             "copy finished implausibly fast for its reservation"
         );
-        let movie = store.finish_import(id).unwrap();
+        let movie = store.finish(id).unwrap().movie;
         assert_eq!(store.stats().committed_bps, 0, "reservation released");
         assert!(store.allocation_of(movie).is_some(), "block-mapped copy");
         // The copy is streamable: the matching source resolves to it.
@@ -2341,19 +2270,19 @@ mod tests {
         // target server was removed mid-flight).
         store.pump(SimTime::from_secs(2));
         assert!(store.stats().blocks_imported > 0, "copy underway");
-        store.abort_import(id);
+        store.close(id);
         let stats = store.stats();
         assert_eq!(stats.committed_bps, 0, "reservation released on abort");
         assert_eq!(stats.imports_active, 0);
-        assert!(store.import_durable(id).is_none());
+        assert!(store.durable(id).is_none());
         // The freed blocks are reusable: a fresh copy completes.
         let id2 = store
             .begin_import(&source, source.mean_bitrate_bps(), SimTime::from_secs(2))
             .unwrap();
         pump_until(&store, SimTime::from_secs(2), || {
-            store.import_durable(id2) == Some(true)
+            store.durable(id2) == Some(true)
         });
-        store.finish_import(id2).unwrap();
+        store.finish(id2).unwrap();
     }
 
     #[test]
@@ -2364,9 +2293,9 @@ mod tests {
         let id = store
             .begin_import(&source, 1_000_000, SimTime::ZERO)
             .unwrap();
-        assert_eq!(store.import_durable(id), Some(true));
+        assert_eq!(store.durable(id), Some(true));
         assert_eq!(store.stats().committed_bps, 0, "nothing reserved");
-        assert_eq!(store.finish_import(id).unwrap(), movie);
+        assert_eq!(store.finish(id).unwrap().movie, movie);
     }
 
     #[test]
@@ -2389,7 +2318,7 @@ mod tests {
         assert!(matches!(err, StoreError::AdmissionRejected { .. }), "{err}");
         // Finishing early is refused, unknown ids are surfaced.
         assert!(matches!(
-            store.finish_import(77),
+            store.finish(77),
             Err(StoreError::UnknownStream(77))
         ));
     }
@@ -2403,11 +2332,11 @@ mod tests {
             store.append_frame(3, frame.size, SimTime::ZERO).unwrap();
         }
         assert!(store.stats().committed_bps > 0);
-        store.abort_recording(3);
+        store.close(3);
         let stats = store.stats();
         assert_eq!(stats.committed_bps, 0);
         assert_eq!(stats.recordings_active, 0);
-        assert!(store.recording_durable(3).is_none());
+        assert!(store.durable(3).is_none());
     }
 
     #[test]
@@ -2458,7 +2387,7 @@ mod tests {
         ));
         // …but a merged follower charges nothing and still opens.
         store
-            .open_stream_with_demand(2, id, 100, 0, SimTime::ZERO)
+            .open_stream_with_demand(2, id, 0, SimTime::ZERO)
             .unwrap();
         assert_eq!(store.stream_demand(2), None);
         assert_eq!(store.stats().open_streams, 2);
@@ -2466,16 +2395,16 @@ mod tests {
         // stream stays open and uncharged.
         let full = store.demand_for(id, 100).unwrap();
         assert!(matches!(
-            store.recharge_stream(2, full),
+            store.adjust(2, full),
             Err(StoreError::AdmissionRejected { .. })
         ));
         assert_eq!(store.stream_demand(2), None);
         // Once the leader closes, the split fits.
-        store.close_stream(1);
-        store.recharge_stream(2, full).unwrap();
+        store.close(1);
+        store.adjust(2, full).unwrap();
         assert_eq!(store.stream_demand(2), Some(full));
         // Convergence-style release keeps the stream but frees demand.
-        store.recharge_stream(2, 0).unwrap();
+        store.adjust(2, 0).unwrap();
         assert_eq!(store.stream_demand(2), None);
         assert_eq!(store.stats().open_streams, 1);
     }
@@ -2536,6 +2465,46 @@ mod tests {
     }
 
     #[test]
+    fn rebuild_survives_a_second_spindle_death() {
+        for disks in [3, 4] {
+            let store = BlockStore::new(StoreConfig {
+                disks,
+                ..tiny_config()
+            });
+            let journal = Arc::new(Journal::standalone());
+            store.attach_journal(journal.clone(), "node-1");
+            let id = store.register_movie(&MovieSource::test_movie(600, 3));
+            let t = SimTime::ZERO;
+            assert!(store.fail_disk(0, t) > 0);
+            let reserve = (store.available_bps() / 2).max(1);
+            let rebuild = store.begin_rebuild(reserve, t).unwrap();
+            store.pump(store.next_event().unwrap());
+            assert!(store.fail_disk(1, t) > 0);
+            // A second death asks for a rebuild as well (as
+            // `World::fail_disk` does): the running one takes it over.
+            let again = store.begin_rebuild((store.available_bps() / 2).max(1), t);
+            assert_eq!(
+                again,
+                Ok(rebuild),
+                "{disks} disks: one rebuild, one admission"
+            );
+            pump_until(&store, t, || !store.rebuild_active());
+            assert_eq!(store.lost_blocks_pending(), 0, "{disks} disks");
+            let addrs = store.allocation_of(id).unwrap();
+            assert!(
+                addrs.iter().all(|a| a.disk > 1),
+                "{disks} disks: no block left on a dead spindle"
+            );
+            let distinct: HashSet<&BlockAddr> = addrs.iter().collect();
+            assert_eq!(distinct.len(), addrs.len());
+            assert_eq!(store.stats().committed_bps, 0, "{disks} disks: released");
+            journal.verify().unwrap();
+            assert_eq!(journal.count(journal::kind::REBUILD_STARTED), 1);
+            assert_eq!(journal.count(journal::kind::REBUILD_COMPLETED), 1);
+        }
+    }
+
+    #[test]
     fn write_paths_avoid_dead_spindles() {
         let store = BlockStore::new(tiny_config());
         store.fail_disk(0, SimTime::ZERO);
@@ -2547,8 +2516,8 @@ mod tests {
             now += netsim::SimDuration::from_micros(source.frame_interval_us());
         }
         store.seal_recording(5, now).unwrap();
-        pump_until(&store, now, || store.recording_durable(5) == Some(true));
-        store.finish_recording(5).unwrap();
+        pump_until(&store, now, || store.durable(5) == Some(true));
+        store.finish(5).unwrap();
         let rec_alloc = store.allocation_of(movie).unwrap();
         assert!(rec_alloc.iter().all(|a| a.disk != 0), "recording shuns it");
         let m2 = store.import_movie(&MovieSource::test_movie(6, 33), now);
@@ -2578,9 +2547,11 @@ mod tests {
         let id = store.register_movie(&movie);
         store.open_stream(1, id, 100, SimTime::ZERO).unwrap();
         // A large speed-up may not fit on the slow disk.
-        let err = store.set_speed(1, 400).unwrap_err();
+        let err = store
+            .adjust(1, store.demand_for(id, 400).unwrap())
+            .unwrap_err();
         assert!(matches!(err, StoreError::AdmissionRejected { .. }));
         // The old commitment is intact: normal speed still accepted.
-        store.set_speed(1, 100).unwrap();
+        store.adjust(1, store.demand_for(id, 100).unwrap()).unwrap();
     }
 }

@@ -66,7 +66,7 @@ fn overload_rejects_then_release_readmits() {
     assert!(store.open_stream(1000, id, 100, SimTime::ZERO).is_err());
 
     // Releasing one stream makes room for exactly one more.
-    store.close_stream(admitted[0]);
+    store.close(admitted[0]);
     store
         .open_stream(2000, id, 100, SimTime::ZERO)
         .expect("re-admitted after release");
@@ -93,11 +93,12 @@ fn faster_playback_demands_more_bandwidth() {
         next += 1;
     }
     // Stream 1 cannot double its speed on a full store...
-    let err = store.set_speed(1, 200).unwrap_err();
+    let double = store.demand_for(id, 200).unwrap();
+    let err = store.adjust(1, double).unwrap_err();
     assert!(matches!(err, StoreError::AdmissionRejected { .. }));
     // ...but after a neighbour leaves, it can.
-    store.close_stream(2);
-    store.set_speed(1, 200).unwrap();
+    store.close(2);
+    store.adjust(1, double).unwrap();
     // And its commitment doubled: the freed slot is consumed.
     assert!(store.open_stream(999, id, 100, SimTime::ZERO).is_err());
     let _ = (per_stream, capacity);
@@ -118,7 +119,7 @@ fn slow_motion_frees_bandwidth() {
     // Halving stream 1's speed frees half a slot — not enough for a
     // full-rate newcomer when the budget fits them exactly, but a
     // half-rate newcomer fits.
-    store.set_speed(1, 50).unwrap();
+    store.adjust(1, store.demand_for(id, 50).unwrap()).unwrap();
     let refit = store.open_stream(next, id, 50, SimTime::ZERO);
     assert!(
         refit.is_ok(),

@@ -105,8 +105,8 @@ proptest! {
             now += netsim::SimDuration::from_micros(rec_source.frame_interval_us());
         }
         store.seal_recording(1, now).unwrap();
-        now = pump_until(&store, now, || store.recording_durable(1) == Some(true));
-        store.finish_recording(1).unwrap();
+        now = pump_until(&store, now, || store.durable(1) == Some(true));
+        store.finish(1).unwrap();
         for addr in store.allocation_of(movie).expect("recorded movies map") {
             prop_assert_ne!(addr.disk, dead);
         }

@@ -1,5 +1,5 @@
 //! Property tests of the write path: a movie recorded through
-//! `open_recording`/`append_frame`/`seal_recording`/`finish_recording`
+//! `open_recording`/`append_frame`/`seal_recording`/`finish`
 //! reads back bijectively — every captured frame is delivered, its
 //! block map is a bijection onto distinct physical addresses — and
 //! the free-block allocator never hands out a live block twice, even
@@ -35,12 +35,12 @@ fn record(store: &BlockStore, rec_id: u32, source: &MovieSource) -> store::Recor
         now += step;
     }
     store.seal_recording(rec_id, now).unwrap();
-    while store.recording_durable(rec_id) != Some(true) {
+    while store.durable(rec_id) != Some(true) {
         let t = store.next_event().expect("writes pending");
         now = now.max(t);
         store.pump(now);
     }
-    store.finish_recording(rec_id).unwrap()
+    store.finish(rec_id).unwrap()
 }
 
 /// Opens a playback stream over `movie` and drains it completely.
@@ -59,7 +59,7 @@ fn read_back(store: &BlockStore, stream: u32, movie: store::MovieId, frame_count
         guard += 1;
         assert!(guard < 200_000, "read-back did not converge");
     }
-    store.close_stream(stream);
+    store.close(stream);
 }
 
 proptest! {
@@ -125,7 +125,7 @@ proptest! {
                 for frame in source.frames() {
                     store.append_frame(rec_id, frame.size, SimTime::ZERO).unwrap();
                 }
-                store.abort_recording(rec_id);
+                store.close(rec_id);
             } else {
                 live.push(record(&store, rec_id, &source).movie);
             }

@@ -14,14 +14,15 @@
 //! router and the rebalance controller use, so a draining server is
 //! never named and load ties break on uncommitted disk bandwidth.
 //!
-//! The balancer is policy only: it never touches connections itself.
-//! The MCAM layer turns a `Some(target)` into a `ReferralRsp` PDU and
-//! the client's root module re-dials.
+//! The balancer is policy only: it never touches connections itself
+//! and keeps no tally of its decisions. The MCAM layer turns a
+//! `Some(target)` into a `ReferralRsp` PDU and journals it as a
+//! `referral_issued` event (the one referral count), and the client's
+//! root module re-dials.
 
 use crate::ServerLoad;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cluster-wide accounting of control associations and the referral
 /// policy over them. One per cluster, shared by all member servers.
@@ -32,9 +33,6 @@ pub struct ControlBalancer {
     /// Operator steering: a pinned source refers every capable client
     /// to the pinned target, liveness unchecked.
     pins: RwLock<HashMap<String, String>>,
-    /// Referral decisions handed out ([`ControlBalancer::refer_target`]
-    /// returning `Some`).
-    referrals: AtomicU64,
 }
 
 impl ControlBalancer {
@@ -70,11 +68,6 @@ impl ControlBalancer {
             .collect();
         all.sort();
         all
-    }
-
-    /// Referrals issued so far.
-    pub fn referrals_issued(&self) -> u64 {
-        self.referrals.load(Ordering::Relaxed)
     }
 
     /// Pins `from` so that every capable client it would serve is
@@ -115,7 +108,6 @@ impl ControlBalancer {
     ///    the minimum and cannot immediately exceed another member).
     pub fn refer_target(&self, local: &str, loads: &[ServerLoad]) -> Option<String> {
         if let Some(to) = self.pins.read().get(local) {
-            self.referrals.fetch_add(1, Ordering::Relaxed);
             return Some(to.clone());
         }
         let counts = self.counts.read();
@@ -135,7 +127,6 @@ impl ControlBalancer {
             .find(|s| s.location == local)
             .is_none_or(|s| s.draining || s.crashed);
         if local_out_of_service || count(local) > count(&best.location) {
-            self.referrals.fetch_add(1, Ordering::Relaxed);
             Some(best.location.clone())
         } else {
             None
@@ -210,14 +201,21 @@ mod tests {
     fn refers_only_when_strictly_more_loaded() {
         let b = ControlBalancer::new();
         let l = loads(&[("node-1", 10, false), ("node-2", 10, false)]);
-        assert_eq!(b.refer_target("node-1", &l), None, "all counts equal");
+        // Callers journal each `Some` as a `referral_issued` event.
+        let mut issued = 0;
+        let mut refer = |local| {
+            let target = b.refer_target(local, &l);
+            issued += u64::from(target.is_some());
+            target
+        };
+        assert_eq!(refer("node-1"), None, "all counts equal");
         b.connected("node-1");
-        assert_eq!(b.refer_target("node-1", &l), Some("node-2".into()));
+        assert_eq!(refer("node-1"), Some("node-2".into()));
         // The referred client lands on node-2: now balanced again.
         b.connected("node-2");
-        assert_eq!(b.refer_target("node-1", &l), None);
-        assert_eq!(b.refer_target("node-2", &l), None);
-        assert_eq!(b.referrals_issued(), 1);
+        assert_eq!(refer("node-1"), None);
+        assert_eq!(refer("node-2"), None);
+        assert_eq!(issued, 1);
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl<T: LoadProbe + ?Sized> LoadProbe for Arc<T> {
 
 impl LoadProbe for store::BlockStore {
     fn load(&self) -> LoadSnapshot {
-        let stats = self.stats();
+        let stats = self.tallies();
         LoadSnapshot {
             available_bps: stats.capacity_bps.saturating_sub(stats.committed_bps),
             committed_bps: stats.committed_bps,

@@ -201,7 +201,7 @@
 //! // twice the fair share of 3.
 //! let counts = cluster.control_connections();
 //! assert!(counts.iter().all(|(_, n)| *n <= 6), "{counts:?}");
-//! assert!(cluster.control.referrals_issued() > 0);
+//! assert!(cluster.journal.count(journal::kind::REFERRAL_ISSUED) > 0);
 //! ```
 //!
 //! # Stream sharing
@@ -315,10 +315,11 @@
 //! [`World::health_interval`]. Events are hash-chained per actor, so
 //! the JSONL dump is tamper-evident and a deterministic re-run
 //! reproduces it bit for bit (`journal::replay_check`); counters such
-//! as [`ClusterHandle::route_decisions`], [`ClusterHandle::failovers`]
-//! and [`ClusterHandle::rebalance_stats`] are views over this journal,
-//! not separate state. See `examples/journal_tour.rs` for the full
-//! walkthrough.
+//! as [`ClusterHandle::route_decisions`], [`ClusterHandle::failovers`],
+//! [`ClusterHandle::rebalance_stats`], [`World::client_referrals`],
+//! the store's admission verdicts and every [`ShareStats`] field are
+//! views over this journal, not separate state. See
+//! `examples/journal_tour.rs` for the full walkthrough.
 //!
 //! ```
 //! use mcam::{McamOp, McamPdu, StackKind, World};

@@ -248,16 +248,17 @@ pub struct ClientRoot {
     pub mca: Option<ModuleId>,
     /// Location currently carrying the control association.
     pub control_location: String,
-    /// Referrals successfully followed.
-    pub referrals_followed: u64,
-    /// Referral chains that ended without a new home (hop budget or
-    /// candidate exhaustion).
-    pub referral_failures: u64,
     /// Bootstrap errors (e.g. duplicate Associate).
     pub errors: u64,
-    /// The world's event journal; referral follows/failures are
-    /// chained under `client-<conn>`.
-    journal: Option<std::sync::Arc<journal::Journal>>,
+    /// The world's event journal; referral follows, failovers and
+    /// failures are chained under [`client_actor`]`(conn)`, and the
+    /// client's referral counts are read back from there.
+    journal: Arc<journal::Journal>,
+}
+
+/// The journal actor a client root records under.
+pub(crate) fn client_actor(conn: u16) -> String {
+    format!("client-{conn}")
 }
 
 impl std::fmt::Debug for ClientRoot {
@@ -274,8 +275,9 @@ impl std::fmt::Debug for ClientRoot {
 
 impl ClientRoot {
     /// Creates a client root for connection index `conn`, listening
-    /// for streams on `client_addr`, with the given application.
-    /// Without [`ClientRoot::with_referrals`] the client speaks the
+    /// for streams on `client_addr`, with the given application,
+    /// recording its referral events into `journal`. Without
+    /// [`ClientRoot::with_referrals`] the client speaks the
     /// pre-referral protocol and stays on its original server.
     pub fn new(
         medium: Box<dyn Medium>,
@@ -283,6 +285,7 @@ impl ClientRoot {
         conn: u16,
         client_addr: u32,
         app: AppMachine,
+        journal: Arc<journal::Journal>,
     ) -> Self {
         ClientRoot {
             medium: Some(medium),
@@ -300,25 +303,14 @@ impl ClientRoot {
             app: None,
             mca: None,
             control_location: String::new(),
-            referrals_followed: 0,
-            referral_failures: 0,
             errors: 0,
-            journal: None,
+            journal,
         }
-    }
-
-    /// Attaches the world's event journal: this client's referral
-    /// follows and failures are recorded under `client-<conn>`.
-    pub fn with_journal(mut self, journal: std::sync::Arc<journal::Journal>) -> Self {
-        self.journal = Some(journal);
-        self
     }
 
     /// Records an event under this client's hash chain.
     fn journal_event(&self, kind: journal::EventKind) {
-        if let Some(journal) = &self.journal {
-            journal.record(&format!("client-{}", self.conn), kind);
-        }
+        self.journal.record(&client_actor(self.conn), kind);
     }
 
     /// Makes this a cluster-aware client: the MCA advertises referral
@@ -359,7 +351,6 @@ impl ClientRoot {
             None => {
                 // A referral reached a client that cannot re-dial
                 // (should not happen: it never advertises support).
-                self.referral_failures += 1;
                 self.journal_event(journal::EventKind::ReferralFailed {
                     target: sig.target.clone(),
                 });
@@ -384,7 +375,6 @@ impl ClientRoot {
             .next(&sig.target, &candidates, |loc| dialer.dial(loc, conn))
         {
             Ok((location, medium)) => {
-                self.referrals_followed += 1;
                 if sig.target.is_empty() {
                     // Crash failover, not a server-issued referral:
                     // record where the stream session moved and the
@@ -432,7 +422,6 @@ impl ClientRoot {
                 );
             }
             Err(end) => {
-                self.referral_failures += 1;
                 self.journal_event(journal::EventKind::ReferralFailed {
                     target: sig.target.clone(),
                 });

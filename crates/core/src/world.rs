@@ -8,7 +8,7 @@ use crate::pdus::{McamPdu, StreamParams};
 use crate::server::{ServerRoot, ServerServices};
 use crate::service::McamOp;
 use crate::sps::StreamProviderSystem;
-use crate::stacks::{ClientRoot, ControlDial, StackKind};
+use crate::stacks::{client_actor, ClientRoot, ControlDial, StackKind};
 use cluster::{ControlBalancer, DrainError, Placement, RebalanceConfig, RebalanceStats};
 use directory::{attr, Dn, Dsa, Dua, MovieEntry, Rdn};
 use equipment::{Eca, EquipmentClass, Eua};
@@ -765,9 +765,9 @@ impl World {
             conn,
             addr.0,
             app,
+            Arc::clone(&self.journal),
         );
         client_root.control_location = server.services.sps.location();
-        client_root = client_root.with_journal(Arc::clone(&self.journal));
         if cluster_aware {
             client_root = client_root.with_referrals(
                 Arc::clone(&self.dialer) as Arc<dyn crate::stacks::ControlDial>,
@@ -1066,13 +1066,18 @@ impl World {
             .expect("client root exists")
     }
 
-    /// Referral statistics of one client, as `(followed, failed)`.
+    /// Referral statistics of one client, as `(followed, failed)`,
+    /// read from the events journaled under `client-<conn>`: followed
+    /// counts `referral_followed` plus `stream_failed_over` (a crash
+    /// failover re-homes the client the same way), failed counts
+    /// `referral_failed`.
     pub fn client_referrals(&self, client: &ClientHandle) -> (u64, u64) {
-        self.rt
-            .with_machine::<ClientRoot, _>(client.root, |r| {
-                (r.referrals_followed, r.referral_failures)
-            })
-            .expect("client root exists")
+        let actor = client_actor(client.conn);
+        let count = |tag| self.journal.count_for(&actor, tag);
+        (
+            count(journal::kind::REFERRAL_FOLLOWED) + count(journal::kind::STREAM_FAILED_OVER),
+            count(journal::kind::REFERRAL_FAILED),
+        )
     }
 
     /// The referral target a client has cached, if any (`None` after

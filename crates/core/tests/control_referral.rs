@@ -71,7 +71,7 @@ fn control_connections_spread_across_the_cluster() {
         assert!(*n >= 1, "{location} was left idle: {counts:?}");
     }
     assert!(
-        cluster.control.referrals_issued() > 0,
+        cluster.journal.count(journal::kind::REFERRAL_ISSUED) > 0,
         "spreading 12 same-server clients requires referrals"
     );
 
@@ -91,7 +91,7 @@ fn control_connections_spread_across_the_cluster() {
         .sum();
     assert_eq!(
         reaped,
-        cluster.control.referrals_issued(),
+        cluster.journal.count(journal::kind::REFERRAL_ISSUED),
         "every issued referral leaves exactly one reaped entity"
     );
 
@@ -139,7 +139,7 @@ fn legacy_client_is_served_locally() {
     for _ in 0..5 {
         cluster.control.connected(&home);
     }
-    let issued_before = cluster.control.referrals_issued();
+    let issued_before = cluster.journal.count(journal::kind::REFERRAL_ISSUED);
     associate(&world, &legacy, "legacy");
     assert_eq!(
         world.client_control_location(&legacy),
@@ -147,7 +147,7 @@ fn legacy_client_is_served_locally() {
         "a legacy client stays where it dialed"
     );
     assert_eq!(
-        cluster.control.referrals_issued(),
+        cluster.journal.count(journal::kind::REFERRAL_ISSUED),
         issued_before,
         "no referral is ever issued to a legacy client"
     );

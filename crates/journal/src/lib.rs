@@ -9,13 +9,39 @@
 //! server's chain, so reordering, dropping, or editing any event
 //! breaks verification from that point on.
 //!
-//! The journal is the single source of truth for operational counters:
-//! components emit events instead of bumping ad-hoc fields, and views
-//! such as route-decision counts or rebalance statistics are derived
-//! with [`Journal::count`] / [`Journal::query`]. Because the journal
-//! is stamped from the deterministic [`netsim`] clock, two runs with
-//! the same seed produce byte-identical serializations
-//! ([`Journal::to_jsonl`]), which is what the replay tests assert.
+//! The journal is the single source of truth for the decision
+//! counters: a component records an event where it decides, keeps no
+//! tally of its own beside it, and its counter view is derived with
+//! [`Journal::count_for`] under the component's actor (or
+//! [`Journal::count`] / [`Journal::query`] across actors). Every
+//! recording component always holds a journal — a private
+//! [`Journal::standalone`] one until a simulation attaches its shared
+//! journal — so a view never depends on whether anyone is watching.
+//! The views derived this way:
+//!
+//! - the store's admission verdicts (`StoreStats::admission.admitted`
+//!   / `.rejected`): `stream_admit` / `stream_reject`;
+//! - every `ShareStats` field: `merge_joined`, `fast_feed_started`,
+//!   `fast_feed_converged`, `leader_promoted`, `group_split`;
+//! - every `RebalanceStats` field, under the `rebalance-<name>` actor;
+//! - referrals issued: `referral_issued` (the control balancer keeps
+//!   no count);
+//! - a client's referrals followed (`referral_followed` +
+//!   `stream_failed_over`) and failed (`referral_failed`), under
+//!   `client-<conn>`;
+//! - a server's route decisions and failovers.
+//!
+//! What no event records stays a plain tally in its component:
+//! admission releases (`AdmissionStats::released`), the store's block
+//! and frame counters (`blocks_delivered`, `blocks_recorded`,
+//! `frames_recorded`, ...), and the cache and disk statistics.
+//!
+//! Because the journal is stamped from the deterministic [`netsim`]
+//! clock, two runs with the same seed produce byte-identical
+//! serializations ([`Journal::to_jsonl`]), which is what the replay
+//! tests assert. Each event kind is declared once, in one table that
+//! generates [`EventKind`], the [`kind`] tags, the canonical JSON the
+//! hash chain covers, and its parser.
 //!
 //! # Examples
 //!
@@ -35,69 +61,306 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-/// Canonical kind tags, usable as [`Journal::count`] keys.
-pub mod kind {
-    /// A stream/recording/import admitted by the admission controller.
-    pub const STREAM_ADMIT: &str = "stream_admit";
-    /// A stream/recording/import rejected by the admission controller.
-    pub const STREAM_REJECT: &str = "stream_reject";
+/// Declares every event kind once — its variant, tag constant, tag,
+/// docs and fields in canonical order — and generates [`EventKind`],
+/// the [`kind`] constants, [`EventKind::tag`], the canonical JSON
+/// writer the hash chain covers, and its parser. A field's JSON key is
+/// its name; its encoding is its type's [`Field`] impl.
+macro_rules! event_kinds {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $konst:ident($tag:literal) $({
+            $($(#[doc = $fdoc:literal])* $field:ident: $ty:ty,)*
+        })?;
+    )*) => {
+        /// Canonical kind tags, usable as [`Journal::count`] keys.
+        pub mod kind {
+            $($(#[doc = $doc])* pub const $konst: &str = $tag;)*
+        }
+
+        /// The typed payload of one journal event.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum EventKind {
+            $($(#[doc = $doc])* $variant $({ $($(#[doc = $fdoc])* $field: $ty,)* })?,)*
+        }
+
+        impl EventKind {
+            /// The canonical tag of this kind (a constant from [`kind`]).
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => kind::$konst,)*
+                }
+            }
+
+            /// Appends the canonical JSON encoding of the payload:
+            /// the tag, then every field in declaration order.
+            fn write_json(&self, out: &mut String) {
+                out.push_str("{\"t\":\"");
+                out.push_str(self.tag());
+                out.push('"');
+                match self {
+                    $(EventKind::$variant { $($($field,)*)? } => {
+                        $($(Field::write($field, stringify!($field), out);)*)?
+                    })*
+                }
+                out.push('}');
+            }
+
+            fn parse(tag: &str, obj: &JsonObj) -> Result<EventKind, ParseError> {
+                match tag {
+                    $(kind::$konst => Ok(EventKind::$variant {
+                        $($($field: Field::read(obj, stringify!($field))?,)*)?
+                    }),)*
+                    other => Err(ParseError::new(&format!("unknown event tag `{other}`"))),
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    /// A stream, recording or import admitted; `available_bps` is the
+    /// controller's headroom immediately after the decision.
+    StreamAdmit = STREAM_ADMIT("stream_admit") {
+        /// Session class admitted.
+        class: AdmissionClass,
+        /// Session id within its class.
+        stream: u32,
+        /// Bandwidth the session asked for.
+        demanded_bps: u64,
+        /// Headroom left after admitting.
+        available_bps: u64,
+    };
+    /// A stream, recording or import refused; `available_bps` is the
+    /// headroom at decision time (what the demand did not fit into).
+    StreamReject = STREAM_REJECT("stream_reject") {
+        /// Session class refused.
+        class: AdmissionClass,
+        /// Session id within its class.
+        stream: u32,
+        /// Bandwidth the session asked for.
+        demanded_bps: u64,
+        /// Headroom that was available.
+        available_bps: u64,
+    };
     /// A SelectMovie request routed to a replica.
-    pub const ROUTE_DECISION: &str = "route_decision";
-    /// A rejected open retried on the next replica.
-    pub const FAILOVER: &str = "failover";
+    RouteDecision = ROUTE_DECISION("route_decision") {
+        /// Movie title being routed.
+        title: String,
+        /// Replica location chosen first.
+        target: String,
+        /// Number of candidate replicas considered.
+        candidates: u32,
+    };
+    /// A rejected open retried on the next candidate replica.
+    Failover = FAILOVER("failover") {
+        /// Movie title being routed.
+        title: String,
+        /// Replica that rejected the open.
+        from: String,
+        /// Replica tried next.
+        to: String,
+    };
     /// A control-association referral handed to a client.
-    pub const REFERRAL_ISSUED: &str = "referral_issued";
+    ReferralIssued = REFERRAL_ISSUED("referral_issued") {
+        /// Server the client was pointed at.
+        target: String,
+    };
     /// A client followed a referral to another server.
-    pub const REFERRAL_FOLLOWED: &str = "referral_followed";
-    /// A referral the client could not use.
-    pub const REFERRAL_FAILED: &str = "referral_failed";
+    ReferralFollowed = REFERRAL_FOLLOWED("referral_followed") {
+        /// Server the referral named.
+        target: String,
+    };
+    /// A referral the client could not follow (bad target, hop
+    /// limit...).
+    ReferralFailed = REFERRAL_FAILED("referral_failed") {
+        /// Server the referral named.
+        target: String,
+    };
     /// One load-sampling pass of the rebalance controller.
-    pub const REBALANCE_SAMPLE: &str = "rebalance_sample";
-    /// A replica-grow copy started.
-    pub const GROW_STARTED: &str = "grow_started";
-    /// A drain-motivated copy started.
-    pub const DRAIN_COPY_STARTED: &str = "drain_copy_started";
-    /// A replica copy finished and was published.
-    pub const COPY_COMPLETED: &str = "copy_completed";
+    RebalanceSample = REBALANCE_SAMPLE("rebalance_sample");
+    /// A grow copy (hot title, extra replica) started.
+    GrowStarted = GROW_STARTED("grow_started") {
+        /// Title being replicated.
+        title: String,
+        /// Target server of the new replica.
+        to: String,
+    };
+    /// A drain-motivated relocation copy started.
+    DrainCopyStarted = DRAIN_COPY_STARTED("drain_copy_started") {
+        /// Title being relocated.
+        title: String,
+        /// Target server of the relocated replica.
+        to: String,
+    };
+    /// A replica copy finished and entered the directory.
+    CopyCompleted = COPY_COMPLETED("copy_completed") {
+        /// Title copied.
+        title: String,
+        /// Server now holding the replica.
+        to: String,
+    };
     /// A replica copy aborted mid-flight.
-    pub const COPY_ABORTED: &str = "copy_aborted";
-    /// A copy attempt refused by admission on the target.
-    pub const COPY_REJECTED: &str = "copy_rejected";
-    /// A cold replica dropped.
-    pub const SHRINK: &str = "shrink";
+    CopyAborted = COPY_ABORTED("copy_aborted") {
+        /// Title whose copy died.
+        title: String,
+        /// Server the copy targeted.
+        to: String,
+    };
+    /// Admission on the target refused a copy's reservation.
+    CopyRejected = COPY_REJECTED("copy_rejected") {
+        /// Title whose copy was refused.
+        title: String,
+        /// Server that refused it.
+        to: String,
+    };
+    /// A cold surplus replica was dropped.
+    Shrink = SHRINK("shrink") {
+        /// Title shrunk.
+        title: String,
+        /// Server that lost the replica.
+        from: String,
+    };
     /// A server drain began.
-    pub const DRAIN_STARTED: &str = "drain_started";
+    DrainStarted = DRAIN_STARTED("drain_started") {
+        /// Location being drained.
+        location: String,
+    };
     /// A server drain finished.
-    pub const DRAIN_COMPLETED: &str = "drain_completed";
-    /// The replica directory was rewritten for a title.
-    pub const DIRECTORY_UPDATE: &str = "directory_update";
-    /// A periodic disk-queue depth sample.
-    pub const DISK_QUEUE_SAMPLE: &str = "disk_queue_sample";
-    /// A periodic buffer-cache hit/miss summary.
-    pub const CACHE_SUMMARY: &str = "cache_summary";
+    DrainCompleted = DRAIN_COMPLETED("drain_completed") {
+        /// Location fully drained.
+        location: String,
+    };
+    /// The replica directory entry for a title was republished.
+    DirectoryUpdate = DIRECTORY_UPDATE("directory_update") {
+        /// Title whose entry changed.
+        title: String,
+    };
+    /// A periodic sample of one disk's queue depth.
+    DiskQueueSample = DISK_QUEUE_SAMPLE("disk_queue_sample") {
+        /// Disk index within the server's stripe set.
+        disk: u32,
+        /// Requests waiting plus in service.
+        depth: u32,
+    };
+    /// A periodic summary of the cumulative buffer-cache counters.
+    CacheSummary = CACHE_SUMMARY("cache_summary") {
+        /// Block reads served from the cache.
+        hits: u64,
+        /// Block reads that went to disk.
+        misses: u64,
+    };
     /// A periodic per-server health snapshot.
-    pub const HEALTH_SNAPSHOT: &str = "health_snapshot";
-    /// A viewer merged into a sharing group as a cache-fed follower.
-    pub const MERGE_JOINED: &str = "merge_joined";
-    /// A follower began fast-feeding to catch up with its leader.
-    pub const FAST_FEED_STARTED: &str = "fast_feed_started";
-    /// A fast-fed follower converged onto its leader and merged.
-    pub const FAST_FEED_CONVERGED: &str = "fast_feed_converged";
-    /// A sharing group's leader left and a follower took over its
-    /// disk stream.
-    pub const LEADER_PROMOTED: &str = "leader_promoted";
-    /// A follower split out of its sharing group (seek/pause/speed).
-    pub const GROUP_SPLIT: &str = "group_split";
-    /// A spindle died; its blocks became unreadable.
-    pub const DISK_FAILED: &str = "disk_failed";
-    /// A paced, admission-charged rebuild of a dead spindle began.
-    pub const REBUILD_STARTED: &str = "rebuild_started";
-    /// A spindle rebuild finished; all lost blocks are durable again.
-    pub const REBUILD_COMPLETED: &str = "rebuild_completed";
-    /// A whole server crashed, killing its streams and associations.
-    pub const SERVER_CRASHED: &str = "server_crashed";
-    /// A client's stream failed over to a replica after a crash.
-    pub const STREAM_FAILED_OVER: &str = "stream_failed_over";
+    HealthSnapshot = HEALTH_SNAPSHOT("health_snapshot") {
+        /// Open playback streams.
+        streams: u32,
+        /// Control associations currently connected.
+        control_assocs: u32,
+        /// Uncommitted disk bandwidth.
+        available_bps: u64,
+        /// Cache service hit ratio, in permille.
+        cache_hit_permille: u32,
+        /// Deepest disk queue at snapshot time.
+        queue_depth_max: u32,
+    };
+    /// A viewer joined a sharing group as a merged follower: it rides
+    /// the leader's disk stream from cache and charges no admission.
+    MergeJoined = MERGE_JOINED("merge_joined") {
+        /// Movie id of the shared title on this server.
+        movie: u32,
+        /// The group's leader stream.
+        leader: u32,
+        /// The follower stream that joined.
+        follower: u32,
+        /// Follower-to-leader gap at join time, in blocks.
+        gap_blocks: u64,
+    };
+    /// A follower outside the merge window began fast-feeding at the
+    /// catch-up rate, charging only the delta bandwidth.
+    FastFeedStarted = FAST_FEED_STARTED("fast_feed_started") {
+        /// Movie id of the shared title on this server.
+        movie: u32,
+        /// The group's leader stream.
+        leader: u32,
+        /// The fast-feeding follower stream.
+        follower: u32,
+        /// Follower-to-leader gap at start, in blocks.
+        gap_blocks: u64,
+        /// Extra bandwidth reserved for the catch-up, bits/second.
+        delta_bps: u64,
+    };
+    /// A fast-fed follower closed its gap, released the delta
+    /// reservation, and merged into the group.
+    FastFeedConverged = FAST_FEED_CONVERGED("fast_feed_converged") {
+        /// Movie id of the shared title on this server.
+        movie: u32,
+        /// The follower stream that converged.
+        follower: u32,
+    };
+    /// A group's leader left; the nearest follower was promoted and
+    /// re-charged one full disk stream.
+    LeaderPromoted = LEADER_PROMOTED("leader_promoted") {
+        /// Movie id of the shared title on this server.
+        movie: u32,
+        /// The departing leader stream.
+        from: u32,
+        /// The follower promoted to leader.
+        to: u32,
+        /// Followers remaining in the group after promotion.
+        followers: u32,
+    };
+    /// A follower split out of its group (seek, pause, or speed
+    /// change) and was re-admitted on its own.
+    GroupSplit = GROUP_SPLIT("group_split") {
+        /// Movie id of the shared title on this server.
+        movie: u32,
+        /// The stream that left the group.
+        follower: u32,
+    };
+    /// A spindle died; reads against it fail until its blocks are
+    /// rebuilt.
+    DiskFailed = DISK_FAILED("disk_failed") {
+        /// Index of the dead disk within the server's stripe set.
+        disk: u32,
+        /// Blocks that were resident on the dead spindle.
+        lost_blocks: u64,
+    };
+    /// Reconstruction of a dead spindle's blocks began, paced at an
+    /// admission-charged bandwidth so it competes with viewers.
+    RebuildStarted = REBUILD_STARTED("rebuild_started") {
+        /// Index of the dead disk being rebuilt around.
+        disk: u32,
+        /// Blocks queued for reconstruction.
+        blocks: u64,
+        /// Bandwidth reserved from admission for the rebuild.
+        reserve_bps: u64,
+    };
+    /// A spindle rebuild finished: every lost block is durable again
+    /// and the reservation was released.
+    RebuildCompleted = REBUILD_COMPLETED("rebuild_completed") {
+        /// Index of the dead disk that was rebuilt around.
+        disk: u32,
+        /// Blocks reconstructed onto surviving disks.
+        blocks: u64,
+    };
+    /// A whole server crashed: every stream, recording, and control
+    /// association it held died with it.
+    ServerCrashed = SERVER_CRASHED("server_crashed") {
+        /// Location that went down.
+        location: String,
+    };
+    /// A client rebuilt its session on a replica after its serving
+    /// server crashed mid-stream.
+    StreamFailedOver = STREAM_FAILED_OVER("stream_failed_over") {
+        /// Title the client was watching.
+        title: String,
+        /// Crashed location the stream left.
+        from: String,
+        /// Live replica the stream resumed on.
+        to: String,
+        /// Frame the client asked to resume from.
+        resume_frame: u64,
+    };
 }
 
 /// Which admission-controlled session class an admit/reject concerns.
@@ -120,604 +383,68 @@ impl AdmissionClass {
             AdmissionClass::Import => "import",
         }
     }
+}
 
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "stream" => Some(AdmissionClass::Stream),
-            "recording" => Some(AdmissionClass::Recording),
-            "import" => Some(AdmissionClass::Import),
-            _ => None,
-        }
+/// How one event field is written into the canonical JSON and read
+/// back: numbers bare, everything else as an escaped string.
+trait Field: Sized {
+    fn write(&self, key: &str, out: &mut String);
+    fn read(obj: &JsonObj, key: &str) -> Result<Self, ParseError>;
+}
+
+impl Field for u64 {
+    fn write(&self, key: &str, out: &mut String) {
+        push_u64_field(out, key, *self);
+    }
+
+    fn read(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        obj.u64(key)
     }
 }
 
-/// The typed payload of one journal event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// Admission granted; `available_bps` is the controller's headroom
-    /// immediately after the decision.
-    StreamAdmit {
-        /// Session class admitted.
-        class: AdmissionClass,
-        /// Session id within its class.
-        stream: u32,
-        /// Bandwidth the session asked for.
-        demanded_bps: u64,
-        /// Headroom left after admitting.
-        available_bps: u64,
-    },
-    /// Admission refused; `available_bps` is the headroom at decision
-    /// time (what the demand did not fit into).
-    StreamReject {
-        /// Session class refused.
-        class: AdmissionClass,
-        /// Session id within its class.
-        stream: u32,
-        /// Bandwidth the session asked for.
-        demanded_bps: u64,
-        /// Headroom that was available.
-        available_bps: u64,
-    },
-    /// SelectMovie chose a replica to open the stream on.
-    RouteDecision {
-        /// Movie title being routed.
-        title: String,
-        /// Replica location chosen first.
-        target: String,
-        /// Number of candidate replicas considered.
-        candidates: u32,
-    },
-    /// A rejected open fell back to the next candidate replica.
-    Failover {
-        /// Movie title being routed.
-        title: String,
-        /// Replica that rejected the open.
-        from: String,
-        /// Replica tried next.
-        to: String,
-    },
-    /// The control balancer referred a client elsewhere.
-    ReferralIssued {
-        /// Server the client was pointed at.
-        target: String,
-    },
-    /// A client connected through a referral.
-    ReferralFollowed {
-        /// Server the referral named.
-        target: String,
-    },
-    /// A referral could not be followed (bad target, hop limit...).
-    ReferralFailed {
-        /// Server the referral named.
-        target: String,
-    },
-    /// The rebalance controller completed one sampling pass.
-    RebalanceSample,
-    /// A grow copy (hot title, extra replica) started.
-    GrowStarted {
-        /// Title being replicated.
-        title: String,
-        /// Target server of the new replica.
-        to: String,
-    },
-    /// A drain-motivated relocation copy started.
-    DrainCopyStarted {
-        /// Title being relocated.
-        title: String,
-        /// Target server of the relocated replica.
-        to: String,
-    },
-    /// A replica copy completed and entered the directory.
-    CopyCompleted {
-        /// Title copied.
-        title: String,
-        /// Server now holding the replica.
-        to: String,
-    },
-    /// A replica copy was aborted.
-    CopyAborted {
-        /// Title whose copy died.
-        title: String,
-        /// Server the copy targeted.
-        to: String,
-    },
-    /// Admission on the target refused the copy's reservation.
-    CopyRejected {
-        /// Title whose copy was refused.
-        title: String,
-        /// Server that refused it.
-        to: String,
-    },
-    /// A cold surplus replica was dropped.
-    Shrink {
-        /// Title shrunk.
-        title: String,
-        /// Server that lost the replica.
-        from: String,
-    },
-    /// A server began draining.
-    DrainStarted {
-        /// Location being drained.
-        location: String,
-    },
-    /// A server finished draining.
-    DrainCompleted {
-        /// Location fully drained.
-        location: String,
-    },
-    /// The replica directory entry for a title was republished.
-    DirectoryUpdate {
-        /// Title whose entry changed.
-        title: String,
-    },
-    /// Queue depth of one disk at sampling time.
-    DiskQueueSample {
-        /// Disk index within the server's stripe set.
-        disk: u32,
-        /// Requests waiting plus in service.
-        depth: u32,
-    },
-    /// Cumulative buffer-cache counters at sampling time.
-    CacheSummary {
-        /// Block reads served from the cache.
-        hits: u64,
-        /// Block reads that went to disk.
-        misses: u64,
-    },
-    /// Periodic per-server health snapshot.
-    HealthSnapshot {
-        /// Open playback streams.
-        streams: u32,
-        /// Control associations currently connected.
-        control_assocs: u32,
-        /// Uncommitted disk bandwidth.
-        available_bps: u64,
-        /// Cache service hit ratio, in permille.
-        cache_hit_permille: u32,
-        /// Deepest disk queue at snapshot time.
-        queue_depth_max: u32,
-    },
-    /// A viewer joined a sharing group as a merged follower: it rides
-    /// the leader's disk stream from cache and charges no admission.
-    MergeJoined {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The group's leader stream.
-        leader: u32,
-        /// The follower stream that joined.
-        follower: u32,
-        /// Follower-to-leader gap at join time, in blocks.
-        gap_blocks: u64,
-    },
-    /// A follower outside the merge window began fast-feeding at the
-    /// catch-up rate, charging only the delta bandwidth.
-    FastFeedStarted {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The group's leader stream.
-        leader: u32,
-        /// The fast-feeding follower stream.
-        follower: u32,
-        /// Follower-to-leader gap at start, in blocks.
-        gap_blocks: u64,
-        /// Extra bandwidth reserved for the catch-up, bits/second.
-        delta_bps: u64,
-    },
-    /// A fast-fed follower closed its gap, released the delta
-    /// reservation, and merged into the group.
-    FastFeedConverged {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The follower stream that converged.
-        follower: u32,
-    },
-    /// A group's leader left; the nearest follower was promoted and
-    /// re-charged one full disk stream.
-    LeaderPromoted {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The departing leader stream.
-        from: u32,
-        /// The follower promoted to leader.
-        to: u32,
-        /// Followers remaining in the group after promotion.
-        followers: u32,
-    },
-    /// A follower split out of its group (seek, pause, or speed
-    /// change) and was re-admitted on its own.
-    GroupSplit {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The stream that left the group.
-        follower: u32,
-    },
-    /// A spindle died; reads against it now fail until rebuilt.
-    DiskFailed {
-        /// Index of the dead disk within the server's stripe set.
-        disk: u32,
-        /// Blocks that were resident on the dead spindle.
-        lost_blocks: u64,
-    },
-    /// Reconstruction of a dead spindle's blocks began, paced at an
-    /// admission-charged bandwidth so it competes with viewers.
-    RebuildStarted {
-        /// Index of the dead disk being rebuilt around.
-        disk: u32,
-        /// Blocks queued for reconstruction.
-        blocks: u64,
-        /// Bandwidth reserved from admission for the rebuild.
-        reserve_bps: u64,
-    },
-    /// A spindle rebuild finished; the reservation was released.
-    RebuildCompleted {
-        /// Index of the dead disk that was rebuilt around.
-        disk: u32,
-        /// Blocks reconstructed onto surviving disks.
-        blocks: u64,
-    },
-    /// A server crashed: every stream, recording, and control
-    /// association it held died with it.
-    ServerCrashed {
-        /// Location that went down.
-        location: String,
-    },
-    /// A client rebuilt its session on a replica after its serving
-    /// server crashed mid-stream.
-    StreamFailedOver {
-        /// Title the client was watching.
-        title: String,
-        /// Crashed location the stream left.
-        from: String,
-        /// Live replica the stream resumed on.
-        to: String,
-        /// Frame the client asked to resume from.
-        resume_frame: u64,
-    },
+impl Field for u32 {
+    fn write(&self, key: &str, out: &mut String) {
+        push_u64_field(out, key, u64::from(*self));
+    }
+
+    fn read(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        u32::try_from(obj.u64(key)?)
+            .map_err(|_| ParseError::new(&format!("field `{key}` out of u32 range")))
+    }
+}
+
+impl Field for String {
+    fn write(&self, key: &str, out: &mut String) {
+        push_str_field(out, key, self);
+    }
+
+    fn read(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        obj.str(key).map(str::to_string)
+    }
+}
+
+impl Field for AdmissionClass {
+    fn write(&self, key: &str, out: &mut String) {
+        push_str_field(out, key, self.as_str());
+    }
+
+    fn read(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        match obj.str(key)? {
+            "stream" => Ok(AdmissionClass::Stream),
+            "recording" => Ok(AdmissionClass::Recording),
+            "import" => Ok(AdmissionClass::Import),
+            _ => Err(ParseError::new("unknown admission class")),
+        }
+    }
 }
 
 impl EventKind {
-    /// The canonical tag of this kind (a constant from [`kind`]).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::StreamAdmit { .. } => kind::STREAM_ADMIT,
-            EventKind::StreamReject { .. } => kind::STREAM_REJECT,
-            EventKind::RouteDecision { .. } => kind::ROUTE_DECISION,
-            EventKind::Failover { .. } => kind::FAILOVER,
-            EventKind::ReferralIssued { .. } => kind::REFERRAL_ISSUED,
-            EventKind::ReferralFollowed { .. } => kind::REFERRAL_FOLLOWED,
-            EventKind::ReferralFailed { .. } => kind::REFERRAL_FAILED,
-            EventKind::RebalanceSample => kind::REBALANCE_SAMPLE,
-            EventKind::GrowStarted { .. } => kind::GROW_STARTED,
-            EventKind::DrainCopyStarted { .. } => kind::DRAIN_COPY_STARTED,
-            EventKind::CopyCompleted { .. } => kind::COPY_COMPLETED,
-            EventKind::CopyAborted { .. } => kind::COPY_ABORTED,
-            EventKind::CopyRejected { .. } => kind::COPY_REJECTED,
-            EventKind::Shrink { .. } => kind::SHRINK,
-            EventKind::DrainStarted { .. } => kind::DRAIN_STARTED,
-            EventKind::DrainCompleted { .. } => kind::DRAIN_COMPLETED,
-            EventKind::DirectoryUpdate { .. } => kind::DIRECTORY_UPDATE,
-            EventKind::DiskQueueSample { .. } => kind::DISK_QUEUE_SAMPLE,
-            EventKind::CacheSummary { .. } => kind::CACHE_SUMMARY,
-            EventKind::HealthSnapshot { .. } => kind::HEALTH_SNAPSHOT,
-            EventKind::MergeJoined { .. } => kind::MERGE_JOINED,
-            EventKind::FastFeedStarted { .. } => kind::FAST_FEED_STARTED,
-            EventKind::FastFeedConverged { .. } => kind::FAST_FEED_CONVERGED,
-            EventKind::LeaderPromoted { .. } => kind::LEADER_PROMOTED,
-            EventKind::GroupSplit { .. } => kind::GROUP_SPLIT,
-            EventKind::DiskFailed { .. } => kind::DISK_FAILED,
-            EventKind::RebuildStarted { .. } => kind::REBUILD_STARTED,
-            EventKind::RebuildCompleted { .. } => kind::REBUILD_COMPLETED,
-            EventKind::ServerCrashed { .. } => kind::SERVER_CRASHED,
-            EventKind::StreamFailedOver { .. } => kind::STREAM_FAILED_OVER,
-        }
-    }
-
     /// Canonical JSON encoding of the payload; this exact byte string
     /// is what the hash chain covers.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"t\":\"");
-        s.push_str(self.tag());
-        s.push('"');
-        match self {
-            EventKind::StreamAdmit {
-                class,
-                stream,
-                demanded_bps,
-                available_bps,
-            }
-            | EventKind::StreamReject {
-                class,
-                stream,
-                demanded_bps,
-                available_bps,
-            } => {
-                push_str_field(&mut s, "class", class.as_str());
-                push_u64_field(&mut s, "stream", u64::from(*stream));
-                push_u64_field(&mut s, "demanded_bps", *demanded_bps);
-                push_u64_field(&mut s, "available_bps", *available_bps);
-            }
-            EventKind::RouteDecision {
-                title,
-                target,
-                candidates,
-            } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "target", target);
-                push_u64_field(&mut s, "candidates", u64::from(*candidates));
-            }
-            EventKind::Failover { title, from, to } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "from", from);
-                push_str_field(&mut s, "to", to);
-            }
-            EventKind::ReferralIssued { target }
-            | EventKind::ReferralFollowed { target }
-            | EventKind::ReferralFailed { target } => {
-                push_str_field(&mut s, "target", target);
-            }
-            EventKind::RebalanceSample => {}
-            EventKind::GrowStarted { title, to }
-            | EventKind::DrainCopyStarted { title, to }
-            | EventKind::CopyCompleted { title, to }
-            | EventKind::CopyAborted { title, to }
-            | EventKind::CopyRejected { title, to } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "to", to);
-            }
-            EventKind::Shrink { title, from } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "from", from);
-            }
-            EventKind::DrainStarted { location } | EventKind::DrainCompleted { location } => {
-                push_str_field(&mut s, "location", location);
-            }
-            EventKind::DirectoryUpdate { title } => {
-                push_str_field(&mut s, "title", title);
-            }
-            EventKind::DiskQueueSample { disk, depth } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "depth", u64::from(*depth));
-            }
-            EventKind::CacheSummary { hits, misses } => {
-                push_u64_field(&mut s, "hits", *hits);
-                push_u64_field(&mut s, "misses", *misses);
-            }
-            EventKind::HealthSnapshot {
-                streams,
-                control_assocs,
-                available_bps,
-                cache_hit_permille,
-                queue_depth_max,
-            } => {
-                push_u64_field(&mut s, "streams", u64::from(*streams));
-                push_u64_field(&mut s, "control_assocs", u64::from(*control_assocs));
-                push_u64_field(&mut s, "available_bps", *available_bps);
-                push_u64_field(&mut s, "cache_hit_permille", u64::from(*cache_hit_permille));
-                push_u64_field(&mut s, "queue_depth_max", u64::from(*queue_depth_max));
-            }
-            EventKind::MergeJoined {
-                movie,
-                leader,
-                follower,
-                gap_blocks,
-            } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "leader", u64::from(*leader));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-                push_u64_field(&mut s, "gap_blocks", *gap_blocks);
-            }
-            EventKind::FastFeedStarted {
-                movie,
-                leader,
-                follower,
-                gap_blocks,
-                delta_bps,
-            } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "leader", u64::from(*leader));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-                push_u64_field(&mut s, "gap_blocks", *gap_blocks);
-                push_u64_field(&mut s, "delta_bps", *delta_bps);
-            }
-            EventKind::FastFeedConverged { movie, follower } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-            }
-            EventKind::LeaderPromoted {
-                movie,
-                from,
-                to,
-                followers,
-            } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "from", u64::from(*from));
-                push_u64_field(&mut s, "to", u64::from(*to));
-                push_u64_field(&mut s, "followers", u64::from(*followers));
-            }
-            EventKind::GroupSplit { movie, follower } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-            }
-            EventKind::DiskFailed { disk, lost_blocks } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "lost_blocks", *lost_blocks);
-            }
-            EventKind::RebuildStarted {
-                disk,
-                blocks,
-                reserve_bps,
-            } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "blocks", *blocks);
-                push_u64_field(&mut s, "reserve_bps", *reserve_bps);
-            }
-            EventKind::RebuildCompleted { disk, blocks } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "blocks", *blocks);
-            }
-            EventKind::ServerCrashed { location } => {
-                push_str_field(&mut s, "location", location);
-            }
-            EventKind::StreamFailedOver {
-                title,
-                from,
-                to,
-                resume_frame,
-            } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "from", from);
-                push_str_field(&mut s, "to", to);
-                push_u64_field(&mut s, "resume_frame", *resume_frame);
-            }
-        }
-        s.push('}');
+        let mut s = String::new();
+        self.write_json(&mut s);
         s
-    }
-
-    fn from_fields(tag: &str, obj: &JsonObj) -> Result<EventKind, ParseError> {
-        let kind = match tag {
-            kind::STREAM_ADMIT | kind::STREAM_REJECT => {
-                let class = AdmissionClass::from_str(obj.str("class")?)
-                    .ok_or_else(|| ParseError::new("unknown admission class"))?;
-                let stream = obj.u32("stream")?;
-                let demanded_bps = obj.u64("demanded_bps")?;
-                let available_bps = obj.u64("available_bps")?;
-                if tag == kind::STREAM_ADMIT {
-                    EventKind::StreamAdmit {
-                        class,
-                        stream,
-                        demanded_bps,
-                        available_bps,
-                    }
-                } else {
-                    EventKind::StreamReject {
-                        class,
-                        stream,
-                        demanded_bps,
-                        available_bps,
-                    }
-                }
-            }
-            kind::ROUTE_DECISION => EventKind::RouteDecision {
-                title: obj.str("title")?.to_string(),
-                target: obj.str("target")?.to_string(),
-                candidates: obj.u32("candidates")?,
-            },
-            kind::FAILOVER => EventKind::Failover {
-                title: obj.str("title")?.to_string(),
-                from: obj.str("from")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::REFERRAL_ISSUED => EventKind::ReferralIssued {
-                target: obj.str("target")?.to_string(),
-            },
-            kind::REFERRAL_FOLLOWED => EventKind::ReferralFollowed {
-                target: obj.str("target")?.to_string(),
-            },
-            kind::REFERRAL_FAILED => EventKind::ReferralFailed {
-                target: obj.str("target")?.to_string(),
-            },
-            kind::REBALANCE_SAMPLE => EventKind::RebalanceSample,
-            kind::GROW_STARTED => EventKind::GrowStarted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::DRAIN_COPY_STARTED => EventKind::DrainCopyStarted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::COPY_COMPLETED => EventKind::CopyCompleted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::COPY_ABORTED => EventKind::CopyAborted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::COPY_REJECTED => EventKind::CopyRejected {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::SHRINK => EventKind::Shrink {
-                title: obj.str("title")?.to_string(),
-                from: obj.str("from")?.to_string(),
-            },
-            kind::DRAIN_STARTED => EventKind::DrainStarted {
-                location: obj.str("location")?.to_string(),
-            },
-            kind::DRAIN_COMPLETED => EventKind::DrainCompleted {
-                location: obj.str("location")?.to_string(),
-            },
-            kind::DIRECTORY_UPDATE => EventKind::DirectoryUpdate {
-                title: obj.str("title")?.to_string(),
-            },
-            kind::DISK_QUEUE_SAMPLE => EventKind::DiskQueueSample {
-                disk: obj.u32("disk")?,
-                depth: obj.u32("depth")?,
-            },
-            kind::CACHE_SUMMARY => EventKind::CacheSummary {
-                hits: obj.u64("hits")?,
-                misses: obj.u64("misses")?,
-            },
-            kind::HEALTH_SNAPSHOT => EventKind::HealthSnapshot {
-                streams: obj.u32("streams")?,
-                control_assocs: obj.u32("control_assocs")?,
-                available_bps: obj.u64("available_bps")?,
-                cache_hit_permille: obj.u32("cache_hit_permille")?,
-                queue_depth_max: obj.u32("queue_depth_max")?,
-            },
-            kind::MERGE_JOINED => EventKind::MergeJoined {
-                movie: obj.u32("movie")?,
-                leader: obj.u32("leader")?,
-                follower: obj.u32("follower")?,
-                gap_blocks: obj.u64("gap_blocks")?,
-            },
-            kind::FAST_FEED_STARTED => EventKind::FastFeedStarted {
-                movie: obj.u32("movie")?,
-                leader: obj.u32("leader")?,
-                follower: obj.u32("follower")?,
-                gap_blocks: obj.u64("gap_blocks")?,
-                delta_bps: obj.u64("delta_bps")?,
-            },
-            kind::FAST_FEED_CONVERGED => EventKind::FastFeedConverged {
-                movie: obj.u32("movie")?,
-                follower: obj.u32("follower")?,
-            },
-            kind::LEADER_PROMOTED => EventKind::LeaderPromoted {
-                movie: obj.u32("movie")?,
-                from: obj.u32("from")?,
-                to: obj.u32("to")?,
-                followers: obj.u32("followers")?,
-            },
-            kind::GROUP_SPLIT => EventKind::GroupSplit {
-                movie: obj.u32("movie")?,
-                follower: obj.u32("follower")?,
-            },
-            kind::DISK_FAILED => EventKind::DiskFailed {
-                disk: obj.u32("disk")?,
-                lost_blocks: obj.u64("lost_blocks")?,
-            },
-            kind::REBUILD_STARTED => EventKind::RebuildStarted {
-                disk: obj.u32("disk")?,
-                blocks: obj.u64("blocks")?,
-                reserve_bps: obj.u64("reserve_bps")?,
-            },
-            kind::REBUILD_COMPLETED => EventKind::RebuildCompleted {
-                disk: obj.u32("disk")?,
-                blocks: obj.u64("blocks")?,
-            },
-            kind::SERVER_CRASHED => EventKind::ServerCrashed {
-                location: obj.str("location")?.to_string(),
-            },
-            kind::STREAM_FAILED_OVER => EventKind::StreamFailedOver {
-                title: obj.str("title")?.to_string(),
-                from: obj.str("from")?.to_string(),
-                to: obj.str("to")?.to_string(),
-                resume_frame: obj.u64("resume_frame")?,
-            },
-            other => return Err(ParseError::new(&format!("unknown event tag `{other}`"))),
-        };
-        Ok(kind)
     }
 }
 
@@ -765,7 +492,7 @@ impl Event {
         s.push_str("\",\"hash\":\"");
         push_hex16(&mut s, self.hash);
         s.push_str("\",\"kind\":");
-        s.push_str(&self.kind.to_json());
+        self.kind.write_json(&mut s);
         s.push('}');
         s
     }
@@ -783,7 +510,7 @@ impl Event {
             seq: obj.u64("seq")?,
             sim_time: SimTime::from_micros(obj.u64("us")?),
             server: obj.str("server")?.to_string(),
-            kind: EventKind::from_fields(tag, kind_obj)?,
+            kind: EventKind::parse(tag, kind_obj)?,
             prev_hash: parse_hex16(obj.str("prev")?)?,
             hash: parse_hex16(obj.str("hash")?)?,
         })
@@ -877,9 +604,15 @@ impl ClockSource {
 #[derive(Default)]
 struct JournalInner {
     events: Vec<Event>,
-    tails: HashMap<String, u64>,
-    counts: HashMap<(String, &'static str), u64>,
+    actors: HashMap<String, Actor>,
     kind_counts: HashMap<&'static str, u64>,
+}
+
+/// One actor's chain tail and per-kind event counts.
+#[derive(Default)]
+struct Actor {
+    tail: u64,
+    counts: HashMap<&'static str, u64>,
 }
 
 /// The append-only event journal.
@@ -934,21 +667,25 @@ impl Journal {
     /// instant, and returns its sequence number.
     pub fn record(&self, server: &str, kind: EventKind) -> u64 {
         let now = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let seq = inner.events.len() as u64;
-        let prev_hash = inner.tails.get(server).copied().unwrap_or(0);
+        if !inner.actors.contains_key(server) {
+            inner.actors.insert(server.to_string(), Actor::default());
+        }
+        let actor = inner.actors.get_mut(server).expect("inserted above");
         let mut ev = Event {
             seq,
             sim_time: now,
             server: server.to_string(),
             kind,
-            prev_hash,
+            prev_hash: actor.tail,
             hash: 0,
         };
         ev.hash = ev.compute_hash();
-        inner.tails.insert(ev.server.clone(), ev.hash);
+        actor.tail = ev.hash;
         let tag = ev.kind.tag();
-        *inner.counts.entry((ev.server.clone(), tag)).or_insert(0) += 1;
+        *actor.counts.entry(tag).or_insert(0) += 1;
         *inner.kind_counts.entry(tag).or_insert(0) += 1;
         inner.events.push(ev);
         seq
@@ -974,8 +711,9 @@ impl Journal {
     pub fn count_for(&self, server: &str, tag: &str) -> u64 {
         self.inner
             .lock()
-            .counts
-            .get(&(server.to_string(), tag))
+            .actors
+            .get(server)
+            .and_then(|a| a.counts.get(tag))
             .copied()
             .unwrap_or(0)
     }
@@ -1290,11 +1028,6 @@ impl JsonObj {
         }
     }
 
-    fn u32(&self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.u64(key)?)
-            .map_err(|_| ParseError::new(&format!("field `{key}` out of u32 range")))
-    }
-
     fn str(&self, key: &str) -> Result<&str, ParseError> {
         match self.get(key)? {
             JsonVal::Str(s) => Ok(s),
@@ -1309,6 +1042,11 @@ impl JsonObj {
         }
     }
 }
+
+/// How deep objects may nest below a line's own object: the journal
+/// format nests exactly one (`kind`). The parser recurses per level, so
+/// the bound also keeps hostile input from overflowing the stack.
+const MAX_DEPTH: usize = 1;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -1411,16 +1149,20 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| ParseError::new("bad number"))
     }
 
-    fn parse_value(&mut self) -> Result<JsonVal, ParseError> {
+    fn parse_value(&mut self, depth: usize) -> Result<JsonVal, ParseError> {
         match self.peek() {
             Some(b'"') => Ok(JsonVal::Str(self.parse_string()?)),
-            Some(b'{') => Ok(JsonVal::Obj(self.parse_obj()?)),
+            Some(b'{') if depth < MAX_DEPTH => Ok(JsonVal::Obj(self.parse_obj(depth + 1)?)),
+            Some(b'{') => Err(ParseError::new(
+                "objects nested deeper than an event's `kind`",
+            )),
             Some(b) if b.is_ascii_digit() => Ok(JsonVal::Num(self.parse_number()?)),
             _ => Err(ParseError::new("unexpected value")),
         }
     }
 
-    fn parse_obj(&mut self) -> Result<JsonObj, ParseError> {
+    /// Parses an object `depth` levels below the line's own.
+    fn parse_obj(&mut self, depth: usize) -> Result<JsonObj, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
@@ -1430,7 +1172,7 @@ impl<'a> Parser<'a> {
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let val = self.parse_value()?;
+            let val = self.parse_value(depth)?;
             fields.push((key, val));
             match self.peek() {
                 Some(b',') => {
@@ -1460,7 +1202,7 @@ fn parse_object(line: &str) -> Result<JsonObj, ParseError> {
         bytes: line.as_bytes(),
         pos: 0,
     };
-    let obj = p.parse_obj()?;
+    let obj = p.parse_obj(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(ParseError::new("trailing garbage after object"));
@@ -1644,6 +1386,14 @@ mod tests {
         verify_events(&events).unwrap();
         assert_eq!(j.count(kind::DISK_FAILED), 1);
         assert_eq!(j.count_for("client-1", kind::STREAM_FAILED_OVER), 1);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let line = "{\"k\":".repeat(depth) + "0" + &"}".repeat(depth);
+        let err = events_from_jsonl(&line).unwrap_err();
+        assert!(err.reason.contains("nested"), "{err}");
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! (`open_stream_with_demand` / `recharge_stream` /
 //! `set_pinned_ranges`), and journals every lifecycle step
 //! (`merge_joined`, `fast_feed_started`/`_converged`,
-//! `leader_promoted`, `group_split`).
+//! `leader_promoted`, `group_split`); [`ShareManager::stats`] counts
+//! those events rather than keeping tallies of its own.
 //!
 //! ```
 //! use share::{JoinPlan, ShareConfig, ShareManager};
@@ -46,7 +47,7 @@
 
 #![warn(missing_docs)]
 
-use journal::{EventKind, Journal};
+use journal::{kind, EventKind, Journal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,36 +155,40 @@ pub enum Departure {
     },
 }
 
-/// Counters kept by the manager.
+/// The manager's lifecycle counters: each field counts one event kind
+/// recorded under the manager's actor in its journal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShareStats {
-    /// Followers merged straight into a group.
+    /// Followers merged straight into a group (`merge_joined`).
     pub merges: u64,
-    /// Followers that started a fast-feed catch-up.
+    /// Followers that started a fast-feed catch-up
+    /// (`fast_feed_started`).
     pub fast_feeds: u64,
-    /// Fast-feeds that converged and merged.
+    /// Fast-feeds that converged and merged (`fast_feed_converged`).
     pub conversions: u64,
-    /// Followers promoted to leader.
+    /// Followers promoted to leader (`leader_promoted`).
     pub promotions: u64,
-    /// Followers split out of their group.
+    /// Followers split out of their group (`group_split`).
     pub splits: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ShareInner {
     groups: HashMap<u32, Group>,
     /// Stream → group id.
     group_of: HashMap<u32, u32>,
     next_group: u32,
-    stats: ShareStats,
-    journal: Option<(Arc<Journal>, String)>,
+    /// Every lifecycle step is recorded here under `actor`'s hash
+    /// chain; [`ShareStats`] is read back from it. A private journal
+    /// until [`ShareManager::attach_journal`] wires in the
+    /// simulation's.
+    journal: Arc<Journal>,
+    actor: String,
 }
 
 impl ShareInner {
     fn record(&self, kind: EventKind) {
-        if let Some((journal, server)) = &self.journal {
-            journal.record(server, kind);
-        }
+        self.journal.record(&self.actor, kind);
     }
 
     /// Detaches `stream` from its group. Returns the departure
@@ -214,7 +219,6 @@ impl ShareInner {
         promoted.role = Role::Leader;
         let movie = group.movie;
         let followers = (group.members.len() - 1) as u32;
-        self.stats.promotions += 1;
         self.record(EventKind::LeaderPromoted {
             movie: movie.0,
             from: stream,
@@ -268,7 +272,13 @@ impl ShareManager {
     pub fn new(config: ShareConfig) -> Self {
         ShareManager {
             config,
-            inner: Mutex::new(ShareInner::default()),
+            inner: Mutex::new(ShareInner {
+                groups: HashMap::new(),
+                group_of: HashMap::new(),
+                next_group: 0,
+                journal: Arc::new(Journal::standalone()),
+                actor: "share".to_string(),
+            }),
         }
     }
 
@@ -277,10 +287,22 @@ impl ShareManager {
         self.config
     }
 
-    /// Attaches an event journal: every lifecycle step from here on is
-    /// recorded under `server`'s hash chain.
+    /// Records into `journal` under `server`'s hash chain instead of
+    /// the manager's private journal, so one simulation-wide journal
+    /// holds every lifecycle step.
+    ///
+    /// # Panics
+    ///
+    /// When the manager's current journal already holds events: the
+    /// counts derived from them would be lost.
     pub fn attach_journal(&self, journal: Arc<Journal>, server: impl Into<String>) {
-        self.inner.lock().journal = Some((journal, server.into()));
+        let mut inner = self.inner.lock();
+        assert!(
+            inner.journal.is_empty(),
+            "attach_journal after the share manager recorded events: their counts would be lost"
+        );
+        inner.journal = journal;
+        inner.actor = server.into();
     }
 
     /// Decides how a new viewer of `movie` (starting at block 0)
@@ -351,7 +373,6 @@ impl ShareManager {
             },
         );
         inner.group_of.insert(stream, gid);
-        inner.stats.merges += 1;
         inner.record(EventKind::MergeJoined {
             movie: movie.0,
             leader,
@@ -378,7 +399,6 @@ impl ShareManager {
             },
         );
         inner.group_of.insert(stream, gid);
-        inner.stats.fast_feeds += 1;
         inner.record(EventKind::FastFeedStarted {
             movie: movie.0,
             leader,
@@ -445,7 +465,6 @@ impl ShareManager {
             return;
         }
         member.role = Role::Merged;
-        inner.stats.conversions += 1;
         inner.record(EventKind::FastFeedConverged {
             movie: movie.0,
             follower: stream,
@@ -553,7 +572,6 @@ impl ShareManager {
         let movie = inner.groups[&gid].movie;
         inner.detach(stream);
         inner.new_group(stream, movie, position_block);
-        inner.stats.splits += 1;
         inner.record(EventKind::GroupSplit {
             movie: movie.0,
             follower: stream,
@@ -607,9 +625,17 @@ impl ShareManager {
             .sum()
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, read from the journal.
     pub fn stats(&self) -> ShareStats {
-        self.inner.lock().stats
+        let inner = self.inner.lock();
+        let count = |tag| inner.journal.count_for(&inner.actor, tag);
+        ShareStats {
+            merges: count(kind::MERGE_JOINED),
+            fast_feeds: count(kind::FAST_FEED_STARTED),
+            conversions: count(kind::FAST_FEED_CONVERGED),
+            promotions: count(kind::LEADER_PROMOTED),
+            splits: count(kind::GROUP_SPLIT),
+        }
     }
 }
 
@@ -775,5 +801,43 @@ mod tests {
         assert_eq!(journal.count(journal::kind::MERGE_JOINED), 1);
         assert_eq!(journal.count(journal::kind::LEADER_PROMOTED), 1);
         assert_eq!(journal.count(journal::kind::GROUP_SPLIT), 1);
+        let one_each = ShareStats {
+            merges: 1,
+            fast_feeds: 1,
+            conversions: 1,
+            promotions: 1,
+            splits: 1,
+        };
+        assert_eq!(share.stats(), one_each);
+        // The same lifecycle on a stand-alone manager counts the same
+        // from its private journal; another actor's events never do.
+        let alone = manager();
+        alone.open_leader(1, movie);
+        alone.note_position(1, 8);
+        alone.open_fast_feed(2, movie, 1, 500);
+        alone.note_position(2, 6);
+        alone.mark_converged(2);
+        alone.open_merged(3, movie, 1);
+        alone.on_close(1);
+        alone.split_out(3, 9);
+        assert_eq!(alone.stats(), one_each);
+        journal.record(
+            "node-2",
+            EventKind::GroupSplit {
+                movie: 1,
+                follower: 4,
+            },
+        );
+        assert_eq!(share.stats(), one_each);
+    }
+
+    #[test]
+    #[should_panic(expected = "attach_journal after the share manager recorded events")]
+    fn late_attach_journal_fails_loudly() {
+        let share = manager();
+        let movie = MovieId(1);
+        share.open_leader(1, movie);
+        share.open_merged(2, movie, 1);
+        share.attach_journal(Arc::new(Journal::standalone()), "node-1");
     }
 }

@@ -18,12 +18,16 @@ pub struct Rejection {
     pub available_bps: u64,
 }
 
-/// Counters kept by the admission controller.
+/// Admission counters of a store. The verdict counts are views over
+/// the store's journal; only `released`, which no event records, is a
+/// tally the controller keeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// Streams admitted (including successful re-negotiations).
+    /// Streams admitted (including successful re-negotiations): the
+    /// `stream_admit` events under the store's actor.
     pub admitted: u64,
-    /// Requests rejected.
+    /// Requests rejected: the `stream_reject` events under the store's
+    /// actor.
     pub rejected: u64,
     /// Streams released.
     pub released: u64,
@@ -35,8 +39,7 @@ pub struct AdmissionController {
     capacity_bps: u64,
     committed_bps: u64,
     per_stream: HashMap<u32, u64>,
-    /// Counters.
-    pub stats: AdmissionStats,
+    released: u64,
 }
 
 impl AdmissionController {
@@ -47,7 +50,7 @@ impl AdmissionController {
             capacity_bps,
             committed_bps: 0,
             per_stream: HashMap::new(),
-            stats: AdmissionStats::default(),
+            released: 0,
         }
     }
 
@@ -80,6 +83,11 @@ impl AdmissionController {
         self.per_stream.get(&stream).copied()
     }
 
+    /// Commitments released so far.
+    pub fn released(&self) -> u64 {
+        self.released
+    }
+
     /// Number of admitted streams.
     pub fn admitted_count(&self) -> usize {
         self.per_stream.len()
@@ -97,7 +105,6 @@ impl AdmissionController {
         let current = self.per_stream.get(&stream).copied().unwrap_or(0);
         let rest = self.committed_bps - current;
         if rest + demanded_bps > self.capacity_bps {
-            self.stats.rejected += 1;
             return Err(Rejection {
                 demanded_bps,
                 available_bps: self.capacity_bps.saturating_sub(rest),
@@ -105,7 +112,6 @@ impl AdmissionController {
         }
         self.committed_bps = rest + demanded_bps;
         self.per_stream.insert(stream, demanded_bps);
-        self.stats.admitted += 1;
         Ok(())
     }
 
@@ -113,7 +119,7 @@ impl AdmissionController {
     pub fn release(&mut self, stream: u32) {
         if let Some(bps) = self.per_stream.remove(&stream) {
             self.committed_bps -= bps;
-            self.stats.released += 1;
+            self.released += 1;
         }
     }
 }
@@ -136,7 +142,7 @@ mod tests {
             }
         );
         assert_eq!(a.committed_bps(), 80);
-        assert_eq!(a.stats.rejected, 1);
+        assert_eq!(a.admitted_count(), 2, "the refused request holds nothing");
     }
 
     #[test]
@@ -149,6 +155,7 @@ mod tests {
         assert_eq!(a.admitted_count(), 1);
         a.release(99); // unknown: no-op
         assert_eq!(a.committed_bps(), 60);
+        assert_eq!(a.released(), 1);
     }
 
     #[test]

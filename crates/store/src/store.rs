@@ -9,7 +9,7 @@ use crate::alloc::BlockAllocator;
 use crate::cache::{BlockKey, BufferCache, CachePolicy, CacheStats};
 use crate::disk::{Disk, DiskParams, DiskStats, IoKind};
 use crate::layout::{BlockAddr, BlockMap, MovieId, StripeLayout};
-use journal::{AdmissionClass, EventKind, Journal};
+use journal::{kind, AdmissionClass, EventKind, Journal};
 use mtp::MovieSource;
 use netsim::{SimDuration, SimTime};
 use parking_lot::Mutex;
@@ -200,7 +200,9 @@ impl std::error::Error for StoreError {}
 pub struct StoreStats {
     /// Cache counters.
     pub cache: CacheStats,
-    /// Admission counters.
+    /// Admission counters: `admitted` and `rejected` count the
+    /// `stream_admit` / `stream_reject` events journaled under the
+    /// store's actor; `released` is the controller's own tally.
     pub admission: AdmissionStats,
     /// Per-disk counters.
     pub disks: Vec<DiskStats>,
@@ -658,12 +660,51 @@ struct StoreInner {
     blocks_recorded: u64,
     blocks_imported: u64,
     frames_recorded: u64,
-    /// Event journal and the server name to record under, when the
-    /// store runs inside an observed simulation.
-    journal: Option<(Arc<Journal>, String)>,
+    /// Every admission verdict and fault is recorded here under
+    /// `actor`'s hash chain; the verdict counts in [`StoreStats`] are
+    /// read back from it. A private journal until
+    /// [`BlockStore::attach_journal`] wires in the simulation's.
+    journal: Arc<Journal>,
+    actor: String,
 }
 
 impl StoreInner {
+    fn record(&self, kind: EventKind) {
+        self.journal.record(&self.actor, kind);
+    }
+
+    /// Every counter the store keeps itself: all of [`StoreStats`]
+    /// but the admission verdicts, which the journal holds.
+    fn tallies(&self) -> StoreStats {
+        let (mut open_streams, mut recordings_active, mut imports_active) = (0, 0, 0);
+        for r in self.reservations.values() {
+            match r {
+                Reservation::Stream(_) => open_streams += 1,
+                Reservation::Write(_) if r.is_copy() => imports_active += 1,
+                Reservation::Write(_) => recordings_active += 1,
+                Reservation::Rebuild(_) => {}
+            }
+        }
+        StoreStats {
+            cache: self.cache.stats,
+            admission: AdmissionStats {
+                released: self.admission.released(),
+                ..AdmissionStats::default()
+            },
+            disks: self.spindles.disks.iter().map(|d| d.stats).collect(),
+            blocks_delivered: self.blocks_delivered,
+            coalesced_reads: self.coalesced_reads,
+            open_streams,
+            recordings_active,
+            imports_active,
+            blocks_recorded: self.blocks_recorded,
+            blocks_imported: self.blocks_imported,
+            frames_recorded: self.frames_recorded,
+            committed_bps: self.admission.committed_bps(),
+            capacity_bps: self.admission.capacity_bps(),
+        }
+    }
+
     /// Runs an admission decision and journals its outcome: admits
     /// carry the headroom left *after* committing, rejects the
     /// headroom the demand did not fit into.
@@ -675,31 +716,21 @@ impl StoreInner {
     ) -> Result<(), StoreError> {
         match self.admission.admit(id, demanded_bps) {
             Ok(()) => {
-                if let Some((journal, server)) = &self.journal {
-                    journal.record(
-                        server,
-                        EventKind::StreamAdmit {
-                            class,
-                            stream: id,
-                            demanded_bps,
-                            available_bps: self.admission.available_bps(),
-                        },
-                    );
-                }
+                self.record(EventKind::StreamAdmit {
+                    class,
+                    stream: id,
+                    demanded_bps,
+                    available_bps: self.admission.available_bps(),
+                });
                 Ok(())
             }
             Err(r) => {
-                if let Some((journal, server)) = &self.journal {
-                    journal.record(
-                        server,
-                        EventKind::StreamReject {
-                            class,
-                            stream: id,
-                            demanded_bps: r.demanded_bps,
-                            available_bps: r.available_bps,
-                        },
-                    );
-                }
+                self.record(EventKind::StreamReject {
+                    class,
+                    stream: id,
+                    demanded_bps: r.demanded_bps,
+                    available_bps: r.available_bps,
+                });
                 Err(reject(r))
             }
         }
@@ -1029,15 +1060,10 @@ impl StoreInner {
         }
         let (disk, blocks) = (rb.disk, rb.durable);
         self.release(id);
-        if let Some((journal, server)) = &self.journal {
-            journal.record(
-                server,
-                EventKind::RebuildCompleted {
-                    disk: disk as u32,
-                    blocks,
-                },
-            );
-        }
+        self.record(EventKind::RebuildCompleted {
+            disk: disk as u32,
+            blocks,
+        });
     }
 }
 
@@ -1085,7 +1111,8 @@ impl BlockStore {
                 blocks_recorded: 0,
                 blocks_imported: 0,
                 frames_recorded: 0,
-                journal: None,
+                journal: Arc::new(Journal::standalone()),
+                actor: "store".to_string(),
                 config,
             }),
         })
@@ -1096,10 +1123,22 @@ impl BlockStore {
         self.inner.lock().config
     }
 
-    /// Attaches an event journal: every admission decision from here
-    /// on is recorded under `server`'s hash chain.
+    /// Records into `journal` under `server`'s hash chain instead of
+    /// the store's private journal, so one simulation-wide journal
+    /// holds every decision.
+    ///
+    /// # Panics
+    ///
+    /// When the store's current journal already holds events: the
+    /// counts derived from them would be lost.
     pub fn attach_journal(&self, journal: Arc<Journal>, server: impl Into<String>) {
-        self.inner.lock().journal = Some((journal, server.into()));
+        let mut inner = self.inner.lock();
+        assert!(
+            inner.journal.is_empty(),
+            "attach_journal after the store recorded events: their counts would be lost"
+        );
+        inner.journal = journal;
+        inner.actor = server.into();
     }
 
     /// Per-disk queue depths (requests waiting plus in service), in
@@ -1779,15 +1818,10 @@ impl BlockStore {
         let live = (disks_len - inner.spindles.failed.len()) as u64;
         let capacity = inner.config.capacity_bps() / disks_len as u64 * live;
         inner.admission.set_capacity_bps(capacity);
-        if let Some((journal, server)) = &inner.journal {
-            journal.record(
-                server,
-                EventKind::DiskFailed {
-                    disk: disk as u32,
-                    lost_blocks: lost,
-                },
-            );
-        }
+        inner.record(EventKind::DiskFailed {
+            disk: disk as u32,
+            lost_blocks: lost,
+        });
         lost
     }
 
@@ -1824,16 +1858,11 @@ impl BlockStore {
         });
         inner.reserve(AdmissionClass::Import, id, reserve_bps, work)?;
         inner.next_import += 1;
-        if let Some((journal, server)) = &inner.journal {
-            journal.record(
-                server,
-                EventKind::RebuildStarted {
-                    disk: disk as u32,
-                    blocks: inner.lost_blocks.len() as u64,
-                    reserve_bps,
-                },
-            );
-        }
+        inner.record(EventKind::RebuildStarted {
+            disk: disk as u32,
+            blocks: inner.lost_blocks.len() as u64,
+            reserve_bps,
+        });
         inner.advance_rebuild(now);
         Ok(id)
     }
@@ -1858,33 +1887,22 @@ impl BlockStore {
         self.inner.lock().admission.available_bps()
     }
 
-    /// Snapshot of all counters.
+    /// Snapshot of all counters; the admission verdict counts are
+    /// read from the journal.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
-        let (mut open_streams, mut recordings_active, mut imports_active) = (0, 0, 0);
-        for r in inner.reservations.values() {
-            match r {
-                Reservation::Stream(_) => open_streams += 1,
-                Reservation::Write(_) if r.is_copy() => imports_active += 1,
-                Reservation::Write(_) => recordings_active += 1,
-                Reservation::Rebuild(_) => {}
-            }
-        }
-        StoreStats {
-            cache: inner.cache.stats,
-            admission: inner.admission.stats,
-            disks: inner.spindles.disks.iter().map(|d| d.stats).collect(),
-            blocks_delivered: inner.blocks_delivered,
-            coalesced_reads: inner.coalesced_reads,
-            open_streams,
-            recordings_active,
-            imports_active,
-            blocks_recorded: inner.blocks_recorded,
-            blocks_imported: inner.blocks_imported,
-            frames_recorded: inner.frames_recorded,
-            committed_bps: inner.admission.committed_bps(),
-            capacity_bps: inner.admission.capacity_bps(),
-        }
+        let mut stats = inner.tallies();
+        let count = |tag| inner.journal.count_for(&inner.actor, tag);
+        stats.admission.admitted = count(kind::STREAM_ADMIT);
+        stats.admission.rejected = count(kind::STREAM_REJECT);
+        stats
+    }
+
+    /// [`BlockStore::stats`] without the admission verdict counts
+    /// (left zero): only what the store keeps itself, cheap enough for
+    /// a load probe sampled on every route.
+    pub fn tallies(&self) -> StoreStats {
+        self.inner.lock().tallies()
     }
 }
 
@@ -2160,6 +2178,48 @@ mod tests {
         // Closing a stream frees its bandwidth for a newcomer.
         store.close(0);
         store.open_stream(99, id, 100, SimTime::ZERO).unwrap();
+        // A stand-alone store reads its verdict counts back from its
+        // private journal.
+        let counts = store.stats().admission;
+        assert_eq!(
+            (counts.admitted, counts.rejected, counts.released),
+            (admitted + 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn admission_counts_are_the_actors_journal_events() {
+        let store = BlockStore::new(tiny_config());
+        let journal = Arc::new(Journal::standalone());
+        store.attach_journal(Arc::clone(&journal), "node-1");
+        let id = store.register_movie(&MovieSource::test_movie(10, 1));
+        store.open_stream(1, id, 100, SimTime::ZERO).unwrap();
+        // Another server's verdict in the same journal is not ours.
+        journal.record(
+            "node-2",
+            EventKind::StreamAdmit {
+                class: AdmissionClass::Stream,
+                stream: 1,
+                demanded_bps: 1,
+                available_bps: 1,
+            },
+        );
+        assert_eq!(journal.count(kind::STREAM_ADMIT), 2);
+        assert_eq!(store.stats().admission.admitted, 1);
+        assert_eq!(
+            store.tallies().admission.admitted,
+            0,
+            "tallies skip the journal"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "attach_journal after the store recorded events")]
+    fn late_attach_journal_fails_loudly() {
+        let store = BlockStore::new(tiny_config());
+        let id = store.register_movie(&MovieSource::test_movie(10, 1));
+        store.open_stream(1, id, 100, SimTime::ZERO).unwrap();
+        store.attach_journal(Arc::new(Journal::standalone()), "node-1");
     }
 
     #[test]

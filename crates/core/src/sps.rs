@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use share::{Departure, JoinPlan, ShareManager};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use store::{BlockStore, MovieId, PrefetchHint, StoreError};
 
@@ -50,6 +50,8 @@ struct RecordingSession {
     captured: u64,
     next_frame_at: SimTime,
     sealed: bool,
+    /// Already counted in `recordings_finished`.
+    finished: bool,
 }
 
 /// Stream-provider errors.
@@ -118,6 +120,8 @@ pub struct StreamProviderSystem {
     /// served from its interval cache).
     share: Option<Arc<ShareManager>>,
     next_stream: AtomicU32,
+    /// See [`StreamProviderSystem::recordings_finished`].
+    recordings_finished: AtomicU64,
 }
 
 impl fmt::Debug for StreamProviderSystem {
@@ -193,6 +197,7 @@ impl StreamProviderSystem {
             store,
             share,
             next_stream: AtomicU32::new((addr.0 << 16) | 1),
+            recordings_finished: AtomicU64::new(0),
         })
     }
 
@@ -374,6 +379,7 @@ impl StreamProviderSystem {
                 captured: 0,
                 next_frame_at: now,
                 sealed: false,
+                finished: false,
             },
         );
         Ok(id)
@@ -383,14 +389,38 @@ impl StreamProviderSystem {
     /// persisted every block.
     pub fn recording_finished(&self, id: u32) -> bool {
         let recordings = self.recordings.lock();
-        let Some(session) = recordings.get(&id) else {
-            return false;
-        };
+        recordings
+            .get(&id)
+            .is_some_and(|session| self.is_finished(id, session))
+    }
+
+    fn is_finished(&self, id: u32, session: &RecordingSession) -> bool {
         session.captured >= session.source.frame_count
             && self
                 .store
                 .as_ref()
                 .is_none_or(|s| s.durable(id) == Some(true))
+    }
+
+    /// Recordings that have finished so far (see
+    /// [`StreamProviderSystem::recording_finished`]), counted by
+    /// [`StreamProviderSystem::pump`] — the only place a recording
+    /// finishes outside a protocol transition. The server MCA's
+    /// `record-done` guard reads `recording_finished`, so a driver
+    /// that skips scheduler passes while nothing changed watches this
+    /// count.
+    pub fn recordings_finished(&self) -> u64 {
+        self.recordings_finished.load(Ordering::Relaxed)
+    }
+
+    fn count_finished_recordings(&self) {
+        let mut recordings = self.recordings.lock();
+        for (id, session) in recordings.iter_mut() {
+            if !session.finished && self.is_finished(*id, session) {
+                session.finished = true;
+                self.recordings_finished.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Finalizes a finished recording: the store registers the
@@ -694,6 +724,7 @@ impl StreamProviderSystem {
         if let Some(store) = &self.store {
             store.pump(now);
         }
+        self.count_finished_recordings();
         let mut senders = self.senders.lock();
         while let Some(dg) = self.socket.recv() {
             if let Ok(fb) = mtp::MtpFeedback::decode(&dg.payload) {

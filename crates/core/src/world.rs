@@ -44,6 +44,41 @@ struct WorldDialer {
 /// to hand it to its server root: (root, medium, connection index).
 type PendingDial = (ModuleId, Box<dyn Medium>, u16);
 
+/// The driver's record of what transition guards can see change
+/// between firings (see [`World::drive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WakeMark {
+    generation: u64,
+    pipe_deliveries: u64,
+    recordings_finished: u64,
+}
+
+/// The world as the driver's last full scheduler pass left it: quiet,
+/// with no module enabled.
+struct Quiet {
+    mark: WakeMark,
+    /// The runtime's `next_deadline`, computed on first use (it depends
+    /// only on state the unchanged mark vouches for).
+    deadline: Option<Option<SimTime>>,
+}
+
+impl Quiet {
+    /// The recorded deadline while the pass still holds — the mark is
+    /// unchanged and the clock is before that deadline — else `None`.
+    fn holds(&mut self, world: &World) -> Option<Option<SimTime>> {
+        if self.mark != world.wake_mark() {
+            return None;
+        }
+        let deadline = *self
+            .deadline
+            .get_or_insert_with(|| world.rt.next_deadline());
+        match deadline {
+            Some(t) if world.net.now() >= t => None,
+            _ => Some(deadline),
+        }
+    }
+}
+
 impl WorldDialer {
     fn new(backend: SimBackend) -> Self {
         WorldDialer {
@@ -821,12 +856,58 @@ impl World {
         self.drive(limit, |_| false);
     }
 
+    /// Everything a transition guard of this world can see change
+    /// between firings: the runtime's change generation, deliveries
+    /// into control pipes (the media that medium and ISODE interface
+    /// modules poll), and finished recordings (the server MCA's
+    /// `record-done` guard).
+    fn wake_mark(&self) -> WakeMark {
+        WakeMark {
+            generation: self.rt.generation(),
+            pipe_deliveries: self.net.pipe_deliveries(),
+            recordings_finished: self
+                .providers
+                .iter()
+                .map(|sps| sps.recordings_finished())
+                .sum(),
+        }
+    }
+
+    /// Debug builds prove every skipped scheduler pass: a skipped pass
+    /// must be one that would have fired nothing.
+    fn check_skip(&self, dispatch: estelle::Dispatch) {
+        if cfg!(debug_assertions) {
+            if let Some(id) = self.rt.first_enabled(dispatch) {
+                let name = self.rt.module_meta(id).map_or_else(String::new, |m| m.name);
+                panic!(
+                    "driver skipped a pass while module {id} ({name}) was enabled: \
+                     a guard read state whose writer does not wake the runtime"
+                );
+            }
+        }
+    }
+
     /// The driver loop behind [`World::run_until_quiet`] and
     /// [`World::client_op`]: runs until idle, past `limit`, or until
     /// `done` returns true (checked between scheduler passes).
+    ///
+    /// **Skip rule.** After a full [`run_sequential`] no module is
+    /// enabled. The driver then records a [`WakeMark`] — the runtime's
+    /// change generation, the network's pipe deliveries, the finished
+    /// recordings — and, lazily, [`Runtime::next_deadline`]. While the
+    /// mark is unchanged and the clock is before that deadline, no
+    /// module can have become enabled, so the driver skips
+    /// `run_sequential` and [`Runtime::any_enabled`] and reuses the
+    /// deadline. Everything else — the loop order, the control-plane,
+    /// health and stream-provider calls, the iteration count — is as
+    /// without the rule, so firings, journals and frames are identical.
+    /// The mark lives for one call: anything done to the world between
+    /// calls is seen by the first pass of the next. Debug builds check
+    /// every skipped pass with [`Runtime::first_enabled`].
     fn drive(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
         let mut opts = self.seq_options.clone();
         opts.advance_time = false;
+        let mut quiet: Option<Quiet> = None;
         let mut guard = 0u32;
         loop {
             guard += 1;
@@ -841,7 +922,15 @@ impl World {
                     r.pending_media.push((medium, conn));
                 });
             }
-            run_sequential(&self.rt, &opts);
+            if quiet.as_mut().and_then(|q| q.holds(self)).is_some() {
+                self.check_skip(opts.dispatch);
+            } else {
+                run_sequential(&self.rt, &opts);
+                quiet = Some(Quiet {
+                    mark: self.wake_mark(),
+                    deadline: None,
+                });
+            }
             if done(self) {
                 break;
             }
@@ -861,11 +950,15 @@ impl World {
             if sent > 0 {
                 continue;
             }
-            if self.rt.any_enabled(opts.dispatch) {
-                continue;
-            }
+            let next_delay = match quiet.as_mut().and_then(|q| q.holds(self)) {
+                Some(deadline) => {
+                    self.check_skip(opts.dispatch);
+                    deadline
+                }
+                None if self.rt.any_enabled(opts.dispatch) => continue,
+                None => self.rt.next_deadline(),
+            };
             let next_net = self.net.next_event_at();
-            let next_delay = self.rt.next_deadline();
             let next_due = self.providers.iter().filter_map(|s| s.next_due()).min();
             let next_tick = self
                 .rebalancers
@@ -1090,9 +1183,13 @@ impl World {
 
     /// All confirmations the client's application has received so far.
     pub fn replies(&self, client: &ClientHandle) -> Vec<McamPdu> {
+        self.with_app(client, |a| a.replies.clone())
+    }
+
+    fn with_app<R>(&self, client: &ClientHandle, f: impl FnOnce(&AppMachine) -> R) -> R {
         let app = self.app_of(client);
         self.rt
-            .with_machine::<AppMachine, _>(app, |a| a.replies.clone())
+            .with_machine::<AppMachine, _>(app, f)
             .expect("app module exists")
     }
 
@@ -1101,10 +1198,12 @@ impl World {
     /// flowing but do not delay the return), and returns the
     /// confirmation (or `None` on a stall).
     pub fn client_op(&self, client: &ClientHandle, op: McamOp) -> Option<McamPdu> {
-        let before = self.replies(client).len();
+        let before = self.with_app(client, |a| a.replies.len());
         self.push_op(client, op);
-        self.drive(SimTime::MAX, |w| w.replies(client).len() > before);
-        self.replies(client).get(before).cloned()
+        self.drive(SimTime::MAX, |w| {
+            w.with_app(client, |a| a.replies.len()) > before
+        });
+        self.with_app(client, |a| a.replies.get(before).cloned())
     }
 
     /// Builds an MTP receiver for a stream the client selected.

@@ -17,8 +17,11 @@ use crate::ctx::Ctx;
 use crate::ids::{IpIndex, IpRef, StateId};
 use crate::interaction::Interaction;
 use netsim::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use parking_lot::RwLock;
+use std::any::{Any, TypeId};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Default virtual cost charged per transition firing in the
 /// multiprocessor simulator when a transition does not override it.
@@ -55,7 +58,8 @@ pub struct Transition<M> {
     /// and feeds this transition.
     pub when: Option<IpIndex>,
     /// `provided` clause: a guard over the machine and (if `when` is
-    /// set) the head input message.
+    /// set) the head input message. See [`StateMachine`] for what a
+    /// guard may read.
     pub provided: Option<Guard<M>>,
     /// `delay` clause: the transition only becomes enabled once the
     /// machine has been in the source state at least this long.
@@ -147,7 +151,8 @@ impl<M> Transition<M> {
         self
     }
 
-    /// Sets the `provided` guard.
+    /// Sets the `provided` guard. See [`StateMachine`] for what a guard
+    /// may read.
     pub fn provided(mut self, guard: Guard<M>) -> Self {
         self.provided = Some(guard);
         self
@@ -178,6 +183,27 @@ impl<M> Transition<M> {
 /// Implementors provide states (as [`StateId`] constants), the
 /// transition list, and optionally initialization behaviour; the
 /// framework wraps them in an [`Fsm`] for execution.
+///
+/// # The guard contract
+///
+/// A `provided` guard may read its module's own state and the input
+/// message freely: those change only through the runtime, which bumps
+/// [`crate::Runtime::generation`]. A guard may read state *outside* its
+/// module (behind an `Arc` it holds) only if every writer of that state
+/// wakes the runtime's driver — otherwise a driver that skips passes
+/// while nothing changed would miss the guard turning true. The
+/// readers today, and what wakes the driver for each:
+///
+/// - [`crate::external::MediumModule`]'s `from-medium` reads
+///   `Medium::available`: a pipe's deliveries are counted by
+///   `netsim::Network::pipe_deliveries`;
+/// - the ISODE interface module reads its stack's `has_work`, i.e. the
+///   same medium (its event queue changes only inside its firings);
+/// - the MCAM server MCA's `record-done` reads the stream provider's
+///   `recording_finished`, counted by its `recordings_finished`.
+///
+/// The server root's `reap-arm` reads a reaper list written only inside
+/// firings, which bump the generation, so it needs no source of its own.
 pub trait StateMachine: Send + Sized + 'static {
     /// Number of interaction points this module exposes.
     fn num_ips(&self) -> usize;
@@ -341,36 +367,26 @@ pub trait ModuleExec: Send {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
-/// The executable wrapper pairing a [`StateMachine`] with its compiled
-/// transition table.
-pub struct Fsm<M: StateMachine> {
-    machine: M,
-    state: StateId,
+/// A machine type's compiled transition table. Guards and actions are
+/// plain `fn` pointers, so one table serves every instance of the type:
+/// it is compiled on the type's first instance and shared from then on.
+struct Table<M> {
     /// Priority-ordered transitions (stable sort by priority).
     order: Vec<Transition<M>>,
     /// Per-state indices into `order` (includes `Any`-state
     /// transitions), used by table-driven dispatch.
     by_state: Vec<Vec<u16>>,
+    /// The `Any`-state transitions alone: the row of every state
+    /// beyond `by_state` (one that no transition names).
+    any_state: Vec<u16>,
 }
 
-impl<M: StateMachine + fmt::Debug> fmt::Debug for Fsm<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Fsm")
-            .field("machine", &self.machine)
-            .field("state", &self.state)
-            .field("transitions", &self.order.len())
-            .finish()
-    }
-}
-
-impl<M: StateMachine> Fsm<M> {
-    /// Compiles the machine's transition list and wraps it for
-    /// execution.
-    pub fn new(machine: M) -> Self {
+impl<M: StateMachine> Table<M> {
+    fn compile() -> Self {
         let mut order = M::transitions();
         // Stable: ties keep declaration order.
         order.sort_by_key(|t| t.priority);
-        let mut max_state = machine.initial_state().0 as usize;
+        let mut max_state = 0;
         for t in &order {
             if let FromState::In(s) = t.from {
                 max_state = max_state.max(s.0 as usize);
@@ -380,22 +396,80 @@ impl<M: StateMachine> Fsm<M> {
             }
         }
         let mut by_state = vec![Vec::new(); max_state + 1];
+        let mut any_state = Vec::new();
         for (i, t) in order.iter().enumerate() {
             match t.from {
                 FromState::Any => {
                     for v in &mut by_state {
                         v.push(i as u16);
                     }
+                    any_state.push(i as u16);
                 }
                 FromState::In(s) => by_state[s.0 as usize].push(i as u16),
             }
         }
+        Table {
+            order,
+            by_state,
+            any_state,
+        }
+    }
+
+    /// The table of `M`, compiled on first use and kept for the life of
+    /// the process (one per machine type, so the registry stays small).
+    fn of() -> &'static Self {
+        type Registry = RwLock<HashMap<TypeId, &'static (dyn Any + Send + Sync)>>;
+        static TABLES: OnceLock<Registry> = OnceLock::new();
+        let tables = TABLES.get_or_init(|| RwLock::new(HashMap::new()));
+        let key = TypeId::of::<M>();
+        let found = tables.read().get(&key).copied();
+        let table = match found {
+            Some(table) => table,
+            None => *tables
+                .write()
+                .entry(key)
+                .or_insert_with(|| Box::leak(Box::new(Self::compile()))),
+        };
+        table
+            .downcast_ref::<Self>()
+            .expect("the registry is keyed by the table's machine type")
+    }
+
+    /// Transition indices to scan in `state`, in priority order.
+    fn row(&self, state: StateId) -> &[u16] {
+        self.by_state
+            .get(state.0 as usize)
+            .unwrap_or(&self.any_state)
+    }
+}
+
+/// The executable wrapper pairing a [`StateMachine`] with its compiled
+/// transition table.
+pub struct Fsm<M: StateMachine> {
+    machine: M,
+    state: StateId,
+    table: &'static Table<M>,
+}
+
+impl<M: StateMachine + fmt::Debug> fmt::Debug for Fsm<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fsm")
+            .field("machine", &self.machine)
+            .field("state", &self.state)
+            .field("transitions", &self.table.order.len())
+            .finish()
+    }
+}
+
+impl<M: StateMachine> Fsm<M> {
+    /// Wraps the machine for execution over its type's compiled
+    /// transition table (compiled on the type's first instance).
+    pub fn new(machine: M) -> Self {
         let state = machine.initial_state();
         Fsm {
             machine,
             state,
-            order,
-            by_state,
+            table: Table::of(),
         }
     }
 
@@ -488,7 +562,7 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
     ) -> Option<Selected> {
         match dispatch {
             Dispatch::HardCoded => {
-                for (pos, t) in self.order.iter().enumerate() {
+                for (pos, t) in self.table.order.iter().enumerate() {
                     if !t.matches_state(self.state) {
                         continue;
                     }
@@ -503,9 +577,9 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
                 None
             }
             Dispatch::TableDriven => {
-                let row = self.by_state.get(self.state.0 as usize)?;
+                let row = self.table.row(self.state);
                 for (pos, &i) in row.iter().enumerate() {
-                    let t = &self.order[i as usize];
+                    let t = &self.table.order[i as usize];
                     if self.enabled(t, ips, now, entered) {
                         return Some(Selected {
                             index: i,
@@ -525,7 +599,7 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
         input: Option<Box<dyn Interaction>>,
         ctx: &mut Ctx<'_>,
     ) -> FiredInfo {
-        let t = &self.order[sel.index as usize];
+        let t = &self.table.order[sel.index as usize];
         let name = t.name;
         let to = t.to;
         let cost = t.cost;
@@ -543,7 +617,8 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
     }
 
     fn transition_info(&self) -> Vec<TransitionInfo> {
-        self.order
+        self.table
+            .order
             .iter()
             .map(|t| TransitionInfo {
                 name: t.name,
@@ -567,7 +642,7 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
 
     fn next_deadline(&self, ips: &[IpState], entered: SimTime) -> Option<SimTime> {
         let mut best: Option<SimTime> = None;
-        for t in &self.order {
+        for t in &self.table.order {
             let Some(d) = t.delay else { continue };
             if !t.matches_state(self.state) {
                 continue;
@@ -696,7 +771,7 @@ mod tests {
         let sel = fsm
             .select(&ips, SimTime::ZERO, SimTime::ZERO, Dispatch::HardCoded)
             .unwrap();
-        let t = &fsm.order[sel.index as usize];
+        let t = &fsm.table.order[sel.index as usize];
         assert_eq!(t.name, "guarded");
     }
 
@@ -787,6 +862,40 @@ mod tests {
             fsm.next_deadline(&[], entered),
             Some(SimTime::from_millis(110))
         );
+    }
+
+    #[test]
+    fn one_table_per_type_covers_unnamed_states() {
+        #[derive(Debug)]
+        struct Late(StateId);
+        impl StateMachine for Late {
+            fn num_ips(&self) -> usize {
+                1
+            }
+            fn initial_state(&self) -> StateId {
+                self.0
+            }
+            fn transitions() -> Vec<Transition<Self>> {
+                vec![
+                    Transition::on("abort", S0, IpIndex(0), |_m: &mut Self, _c, _i| {})
+                        .any_state()
+                        .to(S0),
+                ]
+            }
+        }
+        let early = Fsm::new(Late(S0));
+        let late = Fsm::new(Late(StateId(9)));
+        assert!(std::ptr::eq(early.table, late.table), "compiled once");
+        let mut ips = vec![IpState::default()];
+        ips[0].queue.push_back(QueuedMsg {
+            msg: Box::new(Tick(0)),
+            provenance: None,
+            enqueued_at: SimTime::ZERO,
+        });
+        for dispatch in [Dispatch::HardCoded, Dispatch::TableDriven] {
+            let sel = late.select(&ips, SimTime::ZERO, SimTime::ZERO, dispatch);
+            assert_eq!(sel.map(|s| s.index), Some(0), "{dispatch:?} in state 9");
+        }
     }
 
     #[test]

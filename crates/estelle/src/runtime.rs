@@ -171,6 +171,9 @@ pub struct Runtime {
     qos_on: AtomicBool,
     qos: RwLock<Option<Arc<crate::qos::QosMonitor>>>,
     dynamic_systems: AtomicBool,
+    /// Change generation: bumped by everything that can alter what a
+    /// transition guard sees (see [`Runtime::generation`]).
+    generation: AtomicU64,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -198,7 +201,27 @@ impl Runtime {
             qos_on: AtomicBool::new(false),
             qos: RwLock::new(None),
             dynamic_systems: AtomicBool::new(false),
+            generation: AtomicU64::new(0),
         }
+    }
+
+    /// The change generation: a counter bumped by every enqueue onto an
+    /// interaction point, every firing and `initialize` block, every
+    /// module creation, connection and release, and every
+    /// [`Runtime::with_machine_mut`].
+    ///
+    /// While it stays put, and no state outside the runtime that a
+    /// guard reads has changed (see [`crate::StateMachine`]), every
+    /// module's enabled set is what it was — except for `delay`
+    /// transitions, which come due at [`Runtime::next_deadline`]. A
+    /// driver that saw no module enabled may skip its scheduler passes
+    /// until one of the three moves.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
+    }
+
+    fn bump(&self) {
+        self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Enables the ref \[2\] Estelle enhancement ("Increasing the
@@ -366,6 +389,7 @@ impl Runtime {
                 ps.children.lock().push(id);
             }
         }
+        self.bump();
     }
 
     /// Connects two interaction points with a channel.
@@ -400,6 +424,8 @@ impl Runtime {
             }
             core.ips[a.ip.0 as usize].peer = Some(b);
             core.ips[b.ip.0 as usize].peer = Some(a);
+            drop(core);
+            self.bump();
             return Ok(());
         }
         // Lock in id order to avoid deadlock with concurrent connects.
@@ -429,6 +455,7 @@ impl Runtime {
         }
         core_a.ips[a.ip.0 as usize].peer = Some(b);
         core_b.ips[b.ip.0 as usize].peer = Some(a);
+        self.bump();
         Ok(())
     }
 
@@ -476,6 +503,7 @@ impl Runtime {
             );
             core.exec.on_init(&mut ctx);
         }
+        self.bump();
         self.counters.inits.fetch_add(1, Ordering::Relaxed);
         if self.trace_on.load(Ordering::Relaxed) {
             self.trace.lock().push(FiringRecord {
@@ -524,6 +552,7 @@ impl Runtime {
             _ => None,
         };
         let now = self.clock.now();
+        let tracing = self.trace_on.load(Ordering::Relaxed);
         let mut effects = Vec::new();
         let mut qos_obs: Option<(IpIndex, &'static str, SimDuration)> = None;
         let (info, seq, scanned, deps);
@@ -548,17 +577,18 @@ impl Runtime {
             };
             scanned = sel.scanned;
             seq = self.fire_seq.fetch_add(1, Ordering::SeqCst);
+            // Dependencies feed only the trace: build them only then.
             let mut d: Vec<u64> = Vec::new();
-            if let Some(ls) = core.last_seq {
-                d.push(ls);
+            if tracing {
+                d.extend(core.last_seq);
             }
             let input = sel
                 .needs_input
                 .and_then(|ip| core.ips.get_mut(ip.0 as usize))
                 .and_then(|q| q.queue.pop_front());
             let input_msg = input.map(|q| {
-                if let Some(p) = q.provenance {
-                    d.push(p);
+                if tracing {
+                    d.extend(q.provenance);
                 }
                 if self.qos_on.load(Ordering::Relaxed) {
                     if let Some(ip) = sel.needs_input {
@@ -585,13 +615,14 @@ impl Runtime {
             info = fired;
         }
         drop(_family_guard);
+        self.bump();
         if let Some((ip, name, delay)) = qos_obs {
             if let Some(monitor) = self.qos.read().as_ref() {
                 monitor.observe(id, ip, name, delay, now);
             }
         }
         self.apply_effects(id, seq, effects);
-        if self.trace_on.load(Ordering::Relaxed) {
+        if tracing {
             self.trace.lock().push(FiringRecord {
                 seq,
                 module: id,
@@ -613,23 +644,28 @@ impl Runtime {
         })
     }
 
-    fn module_enabled_slot(&self, slot: &Arc<ModuleSlot>, dispatch: Dispatch) -> bool {
-        let core = slot.core.lock();
+    fn module_enabled_slot(&self, slot: &ModuleSlot, dispatch: Dispatch) -> bool {
         let t_scan = Instant::now();
+        let enabled = self.selectable(slot, dispatch);
+        self.counters
+            .scan_ns
+            .fetch_add(t_scan.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.counters.selects.fetch_add(1, Ordering::Relaxed);
+        enabled
+    }
+
+    /// Whether `slot` has an enabled transition, without touching the
+    /// scheduler counters.
+    fn selectable(&self, slot: &ModuleSlot, dispatch: Dispatch) -> bool {
+        let core = slot.core.lock();
         let ModuleCore {
             exec,
             ips,
             entered_at,
             ..
         } = &*core;
-        let enabled = exec
-            .select(ips, self.clock.now(), *entered_at, dispatch)
-            .is_some();
-        self.counters
-            .scan_ns
-            .fetch_add(t_scan.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.counters.selects.fetch_add(1, Ordering::Relaxed);
-        enabled
+        exec.select(ips, self.clock.now(), *entered_at, dispatch)
+            .is_some()
     }
 
     /// Whether `id` currently has an enabled transition (ignoring
@@ -641,23 +677,41 @@ impl Runtime {
         }
     }
 
+    // The scans below hold the `topo` read lock throughout: none of
+    // them fires, so none of them writes `topo`.
+
     /// Whether any alive module has an enabled transition.
     pub fn any_enabled(&self, dispatch: Dispatch) -> bool {
-        let slots: Vec<Arc<ModuleSlot>> =
-            self.topo.read().iter().flatten().map(Arc::clone).collect();
-        slots
+        self.topo
+            .read()
             .iter()
+            .flatten()
             .filter(|s| s.alive.load(Ordering::SeqCst))
             .any(|s| self.module_enabled_slot(s, dispatch))
+    }
+
+    /// The first alive module (in id order) with an enabled transition.
+    /// Unlike [`Runtime::any_enabled`] this is a check, not a
+    /// scheduling pass: it leaves the scheduler counters alone.
+    pub fn first_enabled(&self, dispatch: Dispatch) -> Option<ModuleId> {
+        self.topo
+            .read()
+            .iter()
+            .flatten()
+            .find(|s| s.alive.load(Ordering::SeqCst) && self.selectable(s, dispatch))
+            .map(|s| s.id)
     }
 
     /// Earliest instant at which a `delay` transition could become
     /// enabled, across all modules.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let slots: Vec<Arc<ModuleSlot>> =
-            self.topo.read().iter().flatten().map(Arc::clone).collect();
+        let topo = self.topo.read();
         let mut best: Option<SimTime> = None;
-        for s in slots.iter().filter(|s| s.alive.load(Ordering::SeqCst)) {
+        for s in topo
+            .iter()
+            .flatten()
+            .filter(|s| s.alive.load(Ordering::SeqCst))
+        {
             let core = s.core.lock();
             let ModuleCore {
                 exec,
@@ -745,11 +799,15 @@ impl Runtime {
         }
         let mut core = dest.core.lock();
         match core.ips.get_mut(peer.ip.0 as usize) {
-            Some(ip) => ip.queue.push_back(QueuedMsg {
-                msg,
-                provenance,
-                enqueued_at: self.clock.now(),
-            }),
+            Some(ip) => {
+                ip.queue.push_back(QueuedMsg {
+                    msg,
+                    provenance,
+                    enqueued_at: self.clock.now(),
+                });
+                drop(core);
+                self.bump();
+            }
             None => {
                 self.counters.msgs_to_dead.fetch_add(1, Ordering::Relaxed);
             }
@@ -781,6 +839,7 @@ impl Runtime {
             }
             stack.extend(s.children.lock().iter().copied());
         }
+        self.bump();
     }
 
     /// Injects a message from outside the specification (test driver /
@@ -805,6 +864,8 @@ impl Runtime {
                     provenance: None,
                     enqueued_at: self.clock.now(),
                 });
+                drop(core);
+                self.bump();
                 Ok(())
             }
             None => Err(EstelleError::IpOutOfRange(target)),
@@ -889,7 +950,8 @@ impl Runtime {
         Some(f(fsm.machine()))
     }
 
-    /// Mutable variant of [`Runtime::with_machine`].
+    /// Mutable variant of [`Runtime::with_machine`]. Bumps the change
+    /// generation: `f` may change what the module's guards read.
     pub fn with_machine_mut<M: StateMachine, R>(
         &self,
         id: ModuleId,
@@ -898,15 +960,19 @@ impl Runtime {
         let slot = self.slot(id)?;
         let mut core = slot.core.lock();
         let fsm = core.exec.as_any_mut().downcast_mut::<Fsm<M>>()?;
-        Some(f(fsm.machine_mut()))
+        let out = f(fsm.machine_mut());
+        drop(core);
+        // The caller may have changed anything a guard reads.
+        self.bump();
+        Some(out)
     }
 
     /// Total messages queued across all interaction points.
     pub fn pending_messages(&self) -> usize {
-        let slots: Vec<Arc<ModuleSlot>> =
-            self.topo.read().iter().flatten().map(Arc::clone).collect();
-        slots
+        self.topo
+            .read()
             .iter()
+            .flatten()
             .filter(|s| s.alive.load(Ordering::SeqCst))
             .map(|s| s.core.lock().ips.iter().map(|ip| ip.len()).sum::<usize>())
             .sum()

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies an endpoint registered with a [`Network`].
@@ -104,6 +105,9 @@ impl Ord for Scheduled {
 struct EndpointState {
     queue: VecDeque<Delivery>,
     stats: EndpointStats,
+    /// A [`crate::Pipe`] end: deliveries here count towards
+    /// [`Network::pipe_deliveries`].
+    pipe: bool,
 }
 
 #[derive(Debug)]
@@ -152,6 +156,7 @@ struct Inner {
 pub struct Network {
     clock: Arc<VirtualClock>,
     inner: Mutex<Inner>,
+    pipe_deliveries: AtomicU64,
 }
 
 impl Network {
@@ -170,6 +175,7 @@ impl Network {
                 next_link: 0,
                 rng: StdRng::seed_from_u64(seed),
             }),
+            pipe_deliveries: AtomicU64::new(0),
         }
     }
 
@@ -185,11 +191,37 @@ impl Network {
 
     /// Registers a new endpoint and returns its id.
     pub fn endpoint(&self) -> EndpointId {
+        self.register(false)
+    }
+
+    /// Registers the endpoint of a pipe end (see
+    /// [`Network::pipe_deliveries`]).
+    pub(crate) fn pipe_endpoint(&self) -> EndpointId {
+        self.register(true)
+    }
+
+    fn register(&self, pipe: bool) -> EndpointId {
         let mut inner = self.inner.lock();
         let id = EndpointId(inner.next_endpoint);
         inner.next_endpoint += 1;
-        inner.endpoints.insert(id, EndpointState::default());
+        inner.endpoints.insert(
+            id,
+            EndpointState {
+                pipe,
+                ..EndpointState::default()
+            },
+        );
         id
+    }
+
+    /// Messages delivered so far into [`crate::Pipe`] ends — the control
+    /// media protocol modules poll. Deliveries into other endpoints
+    /// (datagram sockets) are not counted. A delivery into a pipe end
+    /// is the one way the network makes a medium's `available()` grow,
+    /// so a driver that skips scheduler passes while nothing changed
+    /// watches this count.
+    pub fn pipe_deliveries(&self) -> u64 {
+        self.pipe_deliveries.load(Ordering::Relaxed)
     }
 
     /// Configures a bidirectional link between `a` and `b`.
@@ -351,6 +383,9 @@ impl Network {
         };
         self.clock.advance_to(ev.at);
         if let Some(e) = inner.endpoints.get_mut(&ev.dest) {
+            if e.pipe {
+                self.pipe_deliveries.fetch_add(1, Ordering::Relaxed);
+            }
             e.stats.delivered += 1;
             e.stats.bytes_delivered += ev.data.len() as u64;
             e.queue.push_back(Delivery {

@@ -62,8 +62,8 @@ impl Pipe {
     pub fn create_with(net: &Arc<Network>, mut config: LinkConfig) -> (PipeEnd, PipeEnd) {
         config.loss = crate::models::LossModel::None;
         config.fifo = true;
-        let a = net.endpoint();
-        let b = net.endpoint();
+        let a = net.pipe_endpoint();
+        let b = net.pipe_endpoint();
         let link = net.link(a, b, config);
         (
             PipeEnd {
@@ -116,6 +116,25 @@ mod tests {
         for i in 0..100u8 {
             assert_eq!(b.recv().unwrap().data, vec![i], "reliable + in order");
         }
+    }
+
+    #[test]
+    fn pipe_deliveries_count_pipe_ends_only() {
+        let net = Arc::new(Network::new(0));
+        let (a, b) = Pipe::create(&net, SimDuration::from_micros(5));
+        let dg_src = net.endpoint();
+        let dg_dst = net.endpoint();
+        net.send(dg_src, dg_dst, vec![9], SimDuration::from_micros(1));
+        a.send(vec![1]);
+        b.send(vec![2]);
+        assert_eq!(
+            net.pipe_deliveries(),
+            0,
+            "nothing delivered before stepping"
+        );
+        net.run_until_idle();
+        assert_eq!(net.pipe_deliveries(), 2, "both pipe ends, not the datagram");
+        assert_eq!(net.pending(dg_dst), 1);
     }
 
     #[test]

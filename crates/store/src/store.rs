@@ -1791,7 +1791,10 @@ impl BlockStore {
         let disks_len = inner.spindles.disks.len();
         let mut lost = 0u64;
         let mut high_water = vec![0u64; disks_len];
-        let ids: Vec<MovieId> = inner.movies.keys().copied().collect();
+        // In id order: the lost blocks queue for rebuild in this order,
+        // and a hash map's iteration order differs from run to run.
+        let mut ids: Vec<MovieId> = inner.movies.keys().copied().collect();
+        ids.sort_unstable();
         for mid in ids {
             let rec = inner.movies.get_mut(&mid).expect("keyed above");
             let layout = Arc::make_mut(&mut rec.layout);
